@@ -1,16 +1,10 @@
 """Numeric kernels for the spectrum engine.
 
 All heavy per-line arithmetic (rigid-rotor energies, line-strength factors,
-Boltzmann weights) lives here, operating on flat numpy arrays.  When numba
-is importable the kernels are JIT-compiled; setting the environment variable
-``TRISYM_NO_NUMBA=1`` (or missing numba) selects the pure-numpy fallback.
-Both paths compute identical values; ``benchmarks/bench_kernels.py``
-compares their throughput.
+Boltzmann weights) lives here, operating on flat numpy arrays.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -21,14 +15,17 @@ __all__ = [
     "boltzmann_array",
 ]
 
+BACKEND = "numpy"
 
-def _rot_energy_np(j, k, b, c):
+
+def rot_energy_array(j, k, b, c):
     j = np.asarray(j, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
+    b, c = float(b), float(c)
     return b * j * (j + 1.0) - (b - c) * k * k
 
 
-def _honl_london_np(j, k, dj, dk, parallel):
+def honl_london_array(j, k, dj, dk, parallel):
     """Line-strength factors, vectorized.
 
     ``dk`` is the signed K change (0 for parallel bands); invalid branches
@@ -54,106 +51,5 @@ def _honl_london_np(j, k, dj, dk, parallel):
     return np.maximum(out, 0.0)
 
 
-def _boltzmann_np(energy, kt):
-    return np.exp(-np.asarray(energy, dtype=np.float64) / kt)
-
-
-_want_numba = os.environ.get("TRISYM_NO_NUMBA", "0") not in ("1", "true", "yes")
-
-if _want_numba:
-    try:
-        import numba
-    except ImportError:
-        _want_numba = False
-
-if _want_numba:
-    BACKEND = "numba"
-
-    @numba.njit(cache=True)
-    def _rot_energy_nb(j, k, b, c):
-        out = np.empty(j.shape[0], dtype=np.float64)
-        for i in range(j.shape[0]):
-            jj = float(j[i])
-            kk = float(k[i])
-            out[i] = b * jj * (jj + 1.0) - (b - c) * kk * kk
-        return out
-
-    @numba.njit(cache=True)
-    def _honl_london_nb(j, k, dj, dk, parallel):
-        out = np.empty(j.shape[0], dtype=np.float64)
-        for i in range(j.shape[0]):
-            jj = float(j[i])
-            kk = float(k[i])
-            d = dj[i]
-            if parallel:
-                if d == 1:
-                    val = ((jj + 1.0) ** 2 - kk * kk) / (
-                        (jj + 1.0) * (2.0 * jj + 1.0)
-                    )
-                elif jj == 0.0:
-                    val = 0.0
-                elif d == 0:
-                    val = kk * kk / (jj * (jj + 1.0))
-                else:
-                    val = (jj * jj - kk * kk) / (jj * (2.0 * jj + 1.0))
-            else:
-                m = float(dk[i]) * kk
-                if d == 1:
-                    val = (jj + 1.0 + m) * (jj + 2.0 + m) / (
-                        2.0 * (jj + 1.0) * (2.0 * jj + 1.0)
-                    )
-                elif jj == 0.0:
-                    val = 0.0
-                elif d == 0:
-                    val = (jj + 1.0 + m) * (jj - m) / (2.0 * jj * (jj + 1.0))
-                else:
-                    val = (jj - m) * (jj - 1.0 - m) / (2.0 * jj * (2.0 * jj + 1.0))
-            out[i] = val if val > 0.0 else 0.0
-        return out
-
-    @numba.njit(cache=True)
-    def _boltzmann_nb(energy, kt):
-        out = np.empty(energy.shape[0], dtype=np.float64)
-        for i in range(energy.shape[0]):
-            out[i] = np.exp(-energy[i] / kt)
-        return out
-
-    def rot_energy_array(j, k, b, c):
-        return _rot_energy_nb(
-            np.ascontiguousarray(j, dtype=np.int64),
-            np.ascontiguousarray(k, dtype=np.int64),
-            float(b),
-            float(c),
-        )
-
-    def honl_london_array(j, k, dj, dk, parallel):
-        return _honl_london_nb(
-            np.ascontiguousarray(j, dtype=np.int64),
-            np.ascontiguousarray(k, dtype=np.int64),
-            np.ascontiguousarray(dj, dtype=np.int64),
-            np.ascontiguousarray(dk, dtype=np.int64),
-            bool(parallel),
-        )
-
-    def boltzmann_array(energy, kt):
-        return _boltzmann_nb(
-            np.ascontiguousarray(energy, dtype=np.float64), float(kt)
-        )
-
-else:
-    BACKEND = "numpy"
-
-    def rot_energy_array(j, k, b, c):
-        return _rot_energy_np(j, k, float(b), float(c))
-
-    def honl_london_array(j, k, dj, dk, parallel):
-        return _honl_london_np(j, k, dj, dk, bool(parallel))
-
-    def boltzmann_array(energy, kt):
-        return _boltzmann_np(energy, float(kt))
-
-
-# Always-available fallback handles, used by the parity tests and benchmark.
-def numpy_backend():
-    """Return the pure-numpy kernel triple regardless of the active backend."""
-    return _rot_energy_np, _honl_london_np, _boltzmann_np
+def boltzmann_array(energy, kt):
+    return np.exp(-np.asarray(energy, dtype=np.float64) / float(kt))

@@ -11,10 +11,13 @@ The classification follows from two exact phase rules.  A rotation by
 nuclei, multiplies the rotational wave function by exp(+-i 2pi K / 3); a
 rotation by pi about an in-plane symmetry axis (for K = 0), equivalent to a
 two-label exchange, multiplies it by exp(+-i pi J), with an extra sign for
-the inversion-antisymmetric species of a non-planar molecule.  Matching
-those phases against the ones attainable in each invariant subspace yields
-the classification tables; statistical weights come from character
-orthogonality over the three conjugacy classes.
+the inversion-antisymmetric species of a non-planar molecule.  The two
+rules give the character of a rotational level on the three conjugacy
+classes, and it takes one of only four values (see ``_level_class``).
+Multiplying it by the nuclear-spin character and applying character
+orthogonality gives the A1, A2 and E multiplicities of the level, and the
+subspaces, the SP/SS flags and the statistical weights all follow from
+those three numbers.
 """
 
 from __future__ import annotations
@@ -118,10 +121,6 @@ class SymmetryAssignment:
         return self.forbidden_by.ss
 
 
-def _assignment(labels, forbidden) -> SymmetryAssignment:
-    return SymmetryAssignment(frozenset(labels), forbidden)
-
-
 def rotation_phase_inplane(K: int, epsilon: int) -> complex:
     """Phase picked up under a rotation by epsilon * 2pi/3 about the axis.
 
@@ -167,16 +166,7 @@ def classify_spin0_planar(J: int, K: int) -> SymmetryAssignment:
     K = 0:           even J symmetric (allowed), odd J antisymmetric
                      (forbidden by the bosonic spin-statistics).
     """
-    _check_jk(J, K)
-    if K % 3 != 0:
-        return _assignment({SubspaceLabel.HPRIME}, ForbiddenBy.SP)
-    if K != 0:
-        return _assignment(
-            {SubspaceLabel.HPLUS, SubspaceLabel.HMINUS}, ForbiddenBy.NONE
-        )
-    if J % 2 == 0:
-        return _assignment({SubspaceLabel.HPLUS}, ForbiddenBy.NONE)
-    return _assignment({SubspaceLabel.HMINUS}, ForbiddenBy.SS)
+    return classify_state(J, K, Fraction(0))
 
 
 def spin_space_decomposition() -> dict[SubspaceLabel, list[tuple[Fraction, int]]]:
@@ -221,28 +211,6 @@ def product_decompose(
     raise ValueError(f"labels must be coarse sector labels, got {a}, {b}")
 
 
-def _spin_half_row(K: int, J: int, I: Fraction) -> SymmetryAssignment:
-    if K % 3 != 0:
-        if I == SPIN_HALF:
-            return _assignment(
-                {SubspaceLabel.HPLUS, SubspaceLabel.HMINUS, SubspaceLabel.HPRIME},
-                ForbiddenBy.NONE,
-            )
-        return _assignment({SubspaceLabel.HPRIME}, ForbiddenBy.SP)
-    if K != 0:
-        if I == SPIN_HALF:
-            return _assignment({SubspaceLabel.HPRIME}, ForbiddenBy.SP)
-        return _assignment(
-            {SubspaceLabel.HPLUS, SubspaceLabel.HMINUS}, ForbiddenBy.NONE
-        )
-    # K = 0
-    if I == SPIN_HALF:
-        return _assignment({SubspaceLabel.HPRIME}, ForbiddenBy.SP)
-    if J % 2 == 0:
-        return _assignment({SubspaceLabel.HPLUS}, ForbiddenBy.SS)
-    return _assignment({SubspaceLabel.HMINUS}, ForbiddenBy.NONE)
-
-
 def classify_spin_half_planar(
     J: int, K: int, I: Fraction | None = None
 ) -> SymmetryAssignment:
@@ -253,31 +221,7 @@ def classify_spin_half_planar(
     values is returned; the level counts as forbidden only when every
     component is.
     """
-    _check_jk(J, K)
-    if I is not None:
-        if I not in _VALID_I:
-            raise ValueError(f"I must be 1/2 or 3/2, got {I}")
-        return _spin_half_row(K, J, I)
-
-    rows = [_spin_half_row(K, J, i) for i in _VALID_I]
-    subspaces = frozenset().union(*(r.subspaces for r in rows))
-    if any(r.forbidden_by is ForbiddenBy.NONE for r in rows):
-        forbidden = ForbiddenBy.NONE
-    else:
-        sp = any(r.sp_forbidden for r in rows)
-        ss = any(r.ss_forbidden for r in rows)
-        forbidden = {
-            (True, True): ForbiddenBy.SP_AND_SS,
-            (True, False): ForbiddenBy.SP,
-            (False, True): ForbiddenBy.SS,
-        }[(sp, ss)]
-    return SymmetryAssignment(subspaces, forbidden)
-
-
-def _effective_odd(J: int, species: InversionSpecies) -> bool:
-    # The a-species picks up an extra sign under the exchange-equivalent
-    # rotation+inversion, which acts like a J-parity flip in the K=0 rules.
-    return (J % 2 == 1) != (species is InversionSpecies.A)
+    return classify_state(J, K, SPIN_HALF, InversionSpecies.NONE, I)
 
 
 def classify_c3v_k0(
@@ -289,22 +233,7 @@ def classify_c3v_k0(
     """Classify a K = 0 inversion-doublet component of a C3v molecule."""
     if species not in (InversionSpecies.S, InversionSpecies.A):
         raise ValueError("species must be s or a for a C3v doublet")
-    if nuclear_spin not in (Fraction(0), SPIN_HALF):
-        raise ValueError(f"nuclear spin must be 0 or 1/2, got {nuclear_spin}")
-    if J < 0:
-        raise ValueError(f"J must be non-negative, got {J}")
-
-    odd = _effective_odd(J, species)
-    if nuclear_spin == 0:
-        if I is not None:
-            raise ValueError("I is only meaningful for spin-1/2 nuclei")
-        if odd:
-            return _assignment({SubspaceLabel.HMINUS}, ForbiddenBy.SS)
-        return _assignment({SubspaceLabel.HPLUS}, ForbiddenBy.NONE)
-
-    # Spin 1/2: reuse the planar K=0 rules with the effective parity.
-    j_eff = 1 if odd else 0
-    return classify_spin_half_planar(j_eff, 0, I)
+    return classify_state(J, 0, nuclear_spin, species, I)
 
 
 def classify_state(
@@ -314,73 +243,107 @@ def classify_state(
     species: InversionSpecies = InversionSpecies.NONE,
     I: Fraction | None = None,
 ) -> SymmetryAssignment:
-    """Classify any supported state, dispatching on geometry and spin.
+    """Classify any supported state from its A1, A2 and E multiplicities.
 
-    For C3v levels with K != 0 the planar rules apply per inversion
-    component: the threefold-rotation phase argument is unchanged by the
-    out-of-plane nuclei.
+    The state occupies every sector that occurs in it.  It is allowed when
+    the statistics-required sector occurs (A1 for spin-0 nuclei, A2 for
+    spin-1/2 ones).  Otherwise it is SP-forbidden if the mixed sector E
+    occurs, SS-forbidden if the other one-dimensional sector occurs, or
+    both.  With ``I=None`` the whole spin space is used, so a spin-1/2
+    level counts as forbidden only when every hyperfine component is.
     """
-    _check_jk(J, K)
-    if species is InversionSpecies.NONE:
-        if nuclear_spin == 0:
-            if I is not None:
-                raise ValueError("I is only meaningful for spin-1/2 nuclei")
-            return classify_spin0_planar(J, K)
-        return classify_spin_half_planar(J, K, I)
+    a1, a2, e = mult = _multiplicities(J, K, nuclear_spin, species, I)
+    subspaces = frozenset(label for (_, label), n in zip(_IRREP_SUBSPACES, mult) if n)
+    required, other = (a1, a2) if nuclear_spin == 0 else (a2, a1)
+    if required:
+        forbidden = ForbiddenBy.NONE
+    elif e and other:
+        forbidden = ForbiddenBy.SP_AND_SS
+    else:
+        forbidden = ForbiddenBy.SP if e else ForbiddenBy.SS
+    return SymmetryAssignment(subspaces, forbidden)
+
+
+# ---------------------------------------------------------------------------
+# Symmetry via character orthogonality over the classes (identity,
+# transposition, three-cycle).
+# ---------------------------------------------------------------------------
+
+_CLASSES = (ClassLabel.IDENTITY, ClassLabel.TRANSPOSITION, ClassLabel.THREE_CYCLE)
+_IRREP_SUBSPACES = (
+    ("A1", SubspaceLabel.HPLUS),
+    ("A2", SubspaceLabel.HMINUS),
+    ("E", SubspaceLabel.HPRIME),
+)
+
+
+def _rot_character(J: int, K: int) -> tuple[int, int, int]:
+    """Character of the rotational level (the +-K pair for K != 0).
+
+    A K = 0 level is one-dimensional: the three-cycle leaves it alone and
+    the exchange multiplies it by the in-plane-axis phase.  On the +-K pair
+    the exchange swaps the two components (trace 0) and the three-cycle
+    acts as diag(exp(i 2pi K/3), exp(-i 2pi K/3)).
+    """
     if K == 0:
-        return classify_c3v_k0(J, species, nuclear_spin, I)
-    # K != 0: J parity and inversion species only enter the K = 0 rules,
-    # so the planar classification applies per doublet component.
-    if nuclear_spin == 0:
-        if I is not None:
-            raise ValueError("I is only meaningful for spin-1/2 nuclei")
-        return classify_spin0_planar(J, K)
-    return classify_spin_half_planar(J, K, I)
+        return (1, round(rotation_phase_axis(J, 1).real), 1)
+    trace = rotation_phase_inplane(K, 1) + rotation_phase_inplane(K, -1)
+    return (2, 0, round(trace.real))
 
 
-# ---------------------------------------------------------------------------
-# Statistical weights via character orthogonality.
-# ---------------------------------------------------------------------------
+def _level_class(J: int, K: int, species: InversionSpecies) -> int:
+    """Which of the four rotational characters a level carries.
+
+    0: K = 0 with even effective parity, 1: K = 0 with odd effective
+    parity, 2: K = 3q != 0, 3: K not a multiple of 3.
+    """
+    if K == 0:
+        # The a-species picks up an extra sign under the exchange-equivalent
+        # rotation+inversion, which acts like a J-parity flip.
+        return int((J % 2 == 1) != (species is InversionSpecies.A))
+    return 2 if K % 3 == 0 else 3
+
+
+#: One (J, K) level of each class, in class order, for species NONE.
+_CLASS_LEVELS = ((0, 0), (1, 0), (3, 3), (1, 1))
+_ROT_CHARS = tuple(_rot_character(J, K) for J, K in _CLASS_LEVELS)
 
 _SPIN_CHARS = {
-    # chi(g) = 2^(number of cycles of g) for three spin-1/2 labels.
-    Fraction(1, 2): {
-        ClassLabel.IDENTITY: 8,
-        ClassLabel.TRANSPOSITION: 4,
-        ClassLabel.THREE_CYCLE: 2,
-    },
-    Fraction(0): {
-        ClassLabel.IDENTITY: 1,
-        ClassLabel.TRANSPOSITION: 1,
-        ClassLabel.THREE_CYCLE: 1,
-    },
+    (Fraction(0), None): (1, 1, 1),
+    # 2^(number of cycles of g) on the 8 states of three spin-1/2 labels
+    (SPIN_HALF, None): (8, 4, 2),
+    # the I = 3/2 quartet is totally symmetric
+    (SPIN_HALF, SPIN_THREE_HALF): (4, 4, 4),
+    # the two I = 1/2 doublets carry E twice
+    (SPIN_HALF, SPIN_HALF): (4, 0, -2),
 }
 
 
-def _rot_chars(J: int, K: int, species: InversionSpecies) -> dict[ClassLabel, int]:
-    """Character of the rotational level (the +-K pair for K != 0)."""
-    if K == 0:
-        swap = -1 if _effective_odd(J, species) else 1
-        return {
-            ClassLabel.IDENTITY: 1,
-            ClassLabel.TRANSPOSITION: swap,
-            ClassLabel.THREE_CYCLE: 1,
-        }
-    # exp(i 2pi K/3) + exp(-i 2pi K/3) is 2 for K = 3q and -1 otherwise.
-    cyc = 2 if K % 3 == 0 else -1
-    return {
-        ClassLabel.IDENTITY: 2,
-        ClassLabel.TRANSPOSITION: 0,
-        ClassLabel.THREE_CYCLE: cyc,
-    }
+def _spin_character(nuclear_spin, I) -> tuple[int, int, int]:
+    if nuclear_spin not in (0, SPIN_HALF):
+        raise ValueError(f"nuclear spin must be 0 or 1/2, got {nuclear_spin}")
+    if I is not None:
+        if nuclear_spin == 0:
+            raise ValueError("I is only meaningful for spin-1/2 nuclei")
+        if I not in _VALID_I:
+            raise ValueError(f"I must be 1/2 or 3/2, got {I}")
+    return _SPIN_CHARS[nuclear_spin, I]
 
 
-def _multiplicity(irrep: str, chars: dict[ClassLabel, int]) -> int:
-    total = sum(
-        CLASS_SIZES[c] * CHARACTER_TABLE[irrep][c] * chars[c] for c in ClassLabel
-    )
-    assert total % 6 == 0, "character sum must be divisible by the group order"
-    return total // 6
+def _multiplicities(J, K, nuclear_spin, species, I) -> tuple[int, int, int]:
+    """A1, A2 and E multiplicities of the (rotation x spin) level."""
+    _check_jk(J, K)
+    spin = _spin_character(nuclear_spin, I)
+    rot = _ROT_CHARS[_level_class(J, K, species)]
+    out = []
+    for irrep, _ in _IRREP_SUBSPACES:
+        total = sum(
+            CLASS_SIZES[c] * CHARACTER_TABLE[irrep][c] * r * s
+            for c, r, s in zip(_CLASSES, rot, spin)
+        )
+        assert total % 6 == 0, "character sum must be divisible by the group order"
+        out.append(total // 6)
+    return tuple(out)
 
 
 def sector_weights(
@@ -397,21 +360,11 @@ def sector_weights(
     forbidden-to-allowed intensity ratios reduce to the bare violation
     fraction.
     """
-    _check_jk(J, K)
     nuclear_spin = Fraction(nuclear_spin)
-    if nuclear_spin not in _SPIN_CHARS:
-        raise ValueError(f"nuclear spin must be 0 or 1/2, got {nuclear_spin}")
-    rot = _rot_chars(J, K, species)
-    spin = _SPIN_CHARS[nuclear_spin]
-    chars = {c: rot[c] * spin[c] for c in ClassLabel}
-    weights = {
-        "A1": _multiplicity("A1", chars),
-        "A2": _multiplicity("A2", chars),
-        "E": 2 * _multiplicity("E", chars),
-    }
+    a1, a2, e = _multiplicities(J, K, nuclear_spin, species, None)
     if nuclear_spin == 0 and K % 3 != 0:
-        weights["E"] = 1
-    return weights
+        return {"A1": a1, "A2": a2, "E": 1}
+    return {"A1": a1, "A2": a2, "E": 2 * e}
 
 
 def spin_statistical_weight(

@@ -26,10 +26,10 @@ import numpy as np
 
 from . import _kernels
 from .classify import (
-    ForbiddenBy,
+    _CLASS_LEVELS,
     InversionSpecies,
     RotationalState,
-    SymmetryAssignment,
+    _level_class,
     classify_state,
     sector_weights,
 )
@@ -144,30 +144,27 @@ _TARGET = {Fraction(0): "A1", Fraction(1, 2): "A2"}
 _SECTORS = ("A1", "A2", "E")
 
 
-@lru_cache(maxsize=None)
-def _sector_table(molecule: MoleculeSpec, J: int, K: int, species: InversionSpecies):
-    """(weights dict, available sector set, target sector) for one level."""
-    weights = sector_weights(J, K, molecule.nuclear_spin, species)
-    avail = frozenset(s for s in _SECTORS if weights[s] > 0)
-    return weights, avail, _TARGET[molecule.nuclear_spin]
+def _population(weights: dict, target: str, beta: float, sectors) -> float:
+    """Statistical weight of a level, restricted to ``sectors``.
 
-
-def _population_factor(
-    molecule: MoleculeSpec, J: int, K: int, species: InversionSpecies,
-    beta: float, sectors=None,
-) -> float:
-    """Statistical weight of the level, restricted to ``sectors`` if given.
-
-    The statistics-required sector counts in full; every other available
-    sector is occupied only by violating molecules and carries ``beta``.
+    The statistics-required sector counts in full; every other sector is
+    occupied only by violating molecules and carries ``beta``.
     """
-    weights, avail, target = _sector_table(molecule, J, K, species)
-    use = avail if sectors is None else (avail & sectors)
     total = 0.0
     for s in _SECTORS:  # fixed order keeps float sums byte-reproducible
-        if s in use:
+        if s in sectors:
             total += weights[s] if s == target else beta * weights[s]
     return total
+
+
+def _class_weights(molecule: MoleculeSpec):
+    """Sector weights and occupied sectors of each level class, in class
+    order (see ``classify._level_class``)."""
+    table = []
+    for J, K in _CLASS_LEVELS:
+        weights = sector_weights(J, K, molecule.nuclear_spin)
+        table.append((weights, frozenset(s for s in _SECTORS if weights[s] > 0)))
+    return table
 
 
 def _species_list(molecule: MoleculeSpec) -> tuple[InversionSpecies, ...]:
@@ -183,19 +180,22 @@ def _levels(molecule: MoleculeSpec, jmax: int):
                 yield J, K, species
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _partition_function_cached(
     molecule: MoleculeSpec, temperature: float, jmax: int, beta: float
 ) -> float:
     kt = KB_CM1 * temperature
+    target = _TARGET[molecule.nuclear_spin]
+    g_class = [
+        _population(weights, target, beta, avail)
+        for weights, avail in _class_weights(molecule)
+    ]
     j_arr, k_arr, g_arr, e_arr = [], [], [], []
     for J, K, species in _levels(molecule, jmax):
         j_arr.append(J)
         k_arr.append(K)
         g_arr.append(
-            _population_factor(molecule, J, K, species, beta)
-            * (2 * J + 1)
-            * (2 if K != 0 else 1)
+            g_class[_level_class(J, K, species)] * (2 * J + 1) * (2 if K != 0 else 1)
         )
         e_arr.append(_inversion_offset(molecule, species))
     energies = _kernels.rot_energy_array(
@@ -223,8 +223,11 @@ def state_population(
     violation: ViolationModel = ViolationModel(),
 ) -> float:
     """Fractional thermal population of one (J, K, species) level."""
-    g = _population_factor(
-        molecule, state.J, abs(state.K), state.species, violation.beta
+    weights = sector_weights(
+        state.J, abs(state.K), molecule.nuclear_spin, state.species
+    )
+    g = _population(
+        weights, _TARGET[molecule.nuclear_spin], violation.beta, _SECTORS
     )
     weight = (
         g
@@ -245,21 +248,6 @@ def _upper_species(species: InversionSpecies) -> InversionSpecies:
     if species is InversionSpecies.A:
         return InversionSpecies.S
     return InversionSpecies.NONE
-
-
-def _combine_forbidden(
-    lower: SymmetryAssignment, upper: SymmetryAssignment
-) -> tuple[bool, bool]:
-    sp = lower.sp_forbidden or upper.sp_forbidden
-    ss = lower.ss_forbidden or upper.ss_forbidden
-    return sp, ss
-
-
-@lru_cache(maxsize=None)
-def _classify_cached(
-    molecule: MoleculeSpec, J: int, K: int, species: InversionSpecies
-) -> SymmetryAssignment:
-    return classify_state(J, K, molecule.nuclear_spin, species)
 
 
 def line_list(
@@ -290,11 +278,27 @@ def line_list(
     beta = violation.beta
     kt = KB_CM1 * ensemble.temperature
 
+    # Symmetry enters only through the (lower, upper) level-class pair: its
+    # population factor over the shared sectors and its forbidden flags.
+    # Pairs without a populated shared sector are absent (superselection).
+    target = _TARGET[molecule.nuclear_spin]
+    classes = _class_weights(molecule)
+    flags = [classify_state(J, K, molecule.nuclear_spin) for J, K in _CLASS_LEVELS]
+    pairs = {}
+    for lo, (weights, lo_avail) in enumerate(classes):
+        for up, (_, up_avail) in enumerate(classes):
+            pop = _population(weights, target, beta, lo_avail & up_avail)
+            if pop != 0.0:
+                pairs[lo, up] = (
+                    pop,
+                    flags[lo].sp_forbidden or flags[up].sp_forbidden,
+                    flags[lo].ss_forbidden or flags[up].ss_forbidden,
+                )
+
     records = []  # (lower, upper, dj, dk, popfactor, sp, ss)
     for J, K, species in _levels(molecule, ensemble.jmax):
         up_species = _upper_species(species)
-        lo_assign = _classify_cached(molecule, J, K, species)
-        _, lo_avail, _ = _sector_table(molecule, J, K, species)
+        lo = _level_class(J, K, species)
         for dj in (1, 0, -1):
             J_up = J + dj
             if J_up < 0 or (J == 0 and J_up == 0):
@@ -304,16 +308,10 @@ def line_list(
                 K_up = K + dk
                 if K_up > J_up:
                     continue
-                _, up_avail, _ = _sector_table(molecule, J_up, K_up, up_species)
-                shared = lo_avail & up_avail
-                if not shared:
-                    continue  # superselection: no common symmetry sector
-                pop = _population_factor(molecule, J, K, species, beta, shared)
-                if pop == 0.0:
+                pair = pairs.get((lo, _level_class(J_up, K_up, up_species)))
+                if pair is None:
                     continue
-                up_assign = _classify_cached(molecule, J_up, K_up, up_species)
-                sp, ss = _combine_forbidden(lo_assign, up_assign)
-                records.append((J, K, species, J_up, K_up, up_species, dj, dk, pop, sp, ss))
+                records.append((J, K, species, J_up, K_up, up_species, dj, dk, *pair))
 
     if not records:
         return []

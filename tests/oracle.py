@@ -1,11 +1,12 @@
-"""Independent brute-force oracles for the classifier tests.
+"""Independent oracles for the classifier tests.
 
-Builds explicit matrix representations (the 8-dimensional spin space as
-permutation matrices on occupation tuples, the rotational level as a 1- or
-2-dimensional phase representation) and counts target-symmetry states as
-the rank of the explicit (anti)symmetrizer on the tensor product.  Shares
-no code path with trisym.classify.sector_weights, which uses character
-arithmetic.
+The brute-force oracle builds explicit matrix representations (the
+8-dimensional spin space as permutation matrices on occupation tuples, the
+rotational level as a 1- or 2-dimensional phase representation) and counts
+target-symmetry states as the rank of the explicit (anti)symmetrizer on the
+tensor product.  The rule oracle states the allowed/SP/SS classification as
+explicit per-case tables.  Neither shares a code path with trisym.classify,
+which derives everything from character arithmetic.
 """
 
 from fractions import Fraction
@@ -13,8 +14,15 @@ from itertools import product
 
 import numpy as np
 
-from trisym.classify import InversionSpecies
-from trisym.group_algebra import ELEMENTS, IDENTITY, P23, P123, compose
+from trisym.classify import ForbiddenBy, InversionSpecies, SymmetryAssignment
+from trisym.group_algebra import (
+    ELEMENTS,
+    IDENTITY,
+    P23,
+    P123,
+    SubspaceLabel,
+    compose,
+)
 
 OMEGA = np.exp(2j * np.pi / 3.0)
 
@@ -105,3 +113,67 @@ def brute_sector_dimension(J: int, K: int, nuclear_spin, irrep: str) -> int:
         / 6.0
     )
     return int(round(np.trace(proj).real))
+
+
+# ---------------------------------------------------------------------------
+# Rule oracle: the hand-written classification tables that trisym.classify
+# used before it derived every assignment from characters.  Each row states
+# one case of the two phase rules directly; no character arithmetic.
+# ---------------------------------------------------------------------------
+
+HP, HM, HPR = SubspaceLabel.HPLUS, SubspaceLabel.HMINUS, SubspaceLabel.HPRIME
+
+
+def _rule(labels, forbidden):
+    return SymmetryAssignment(frozenset(labels), forbidden)
+
+
+def _rule_spin0(J, K, odd):
+    # K = 3q+-1: mixed only, SP; K = 3q != 0: symmetric/antisymmetric pair;
+    # K = 0: symmetric for even (effective) J, antisymmetric (SS) for odd.
+    if K % 3 != 0:
+        return _rule({HPR}, ForbiddenBy.SP)
+    if K != 0:
+        return _rule({HP, HM}, ForbiddenBy.NONE)
+    return _rule({HM}, ForbiddenBy.SS) if odd else _rule({HP}, ForbiddenBy.NONE)
+
+
+def _rule_spin_half(K, odd, I):
+    if K % 3 != 0:
+        if I == Fraction(1, 2):
+            return _rule({HP, HM, HPR}, ForbiddenBy.NONE)
+        return _rule({HPR}, ForbiddenBy.SP)
+    if K != 0:
+        if I == Fraction(1, 2):
+            return _rule({HPR}, ForbiddenBy.SP)
+        return _rule({HP, HM}, ForbiddenBy.NONE)
+    if I == Fraction(1, 2):
+        return _rule({HPR}, ForbiddenBy.SP)
+    return _rule({HM}, ForbiddenBy.NONE) if odd else _rule({HP}, ForbiddenBy.SS)
+
+
+def rule_classify_state(J, K, nuclear_spin, species=InversionSpecies.NONE, I=None):
+    """Assignment from the explicit rule tables.
+
+    Only the K = 0 rules see J parity, flipped for the a-species.  With I
+    unresolved, a spin-1/2 level occupies the union of both hyperfine
+    components and is forbidden only when both are, with the flags of both.
+    """
+    odd = (J % 2 == 1) != (species is InversionSpecies.A)
+    if Fraction(nuclear_spin) == 0:
+        assert I is None
+        return _rule_spin0(J, K, odd)
+    if I is not None:
+        return _rule_spin_half(K, odd, I)
+    rows = [_rule_spin_half(K, odd, i) for i in (Fraction(1, 2), Fraction(3, 2))]
+    subspaces = rows[0].subspaces | rows[1].subspaces
+    if any(r.forbidden_by is ForbiddenBy.NONE for r in rows):
+        return SymmetryAssignment(subspaces, ForbiddenBy.NONE)
+    sp = any(r.sp_forbidden for r in rows)
+    ss = any(r.ss_forbidden for r in rows)
+    forbidden = {
+        (True, True): ForbiddenBy.SP_AND_SS,
+        (True, False): ForbiddenBy.SP,
+        (False, True): ForbiddenBy.SS,
+    }[(sp, ss)]
+    return SymmetryAssignment(subspaces, forbidden)

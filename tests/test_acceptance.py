@@ -268,7 +268,7 @@ def test_criterion_10_energies_and_determinism():
 
     ens = ThermalEnsemble(temperature=296.0, jmax=50)
     beta = ViolationModel(1e-9)
-    line_list(BH3, "nu3", ThermalEnsemble(jmax=2), beta)  # warm JIT + caches
+    line_list(BH3, "nu3", ThermalEnsemble(jmax=2), beta)  # warm-up call
     start = time.perf_counter()
     first = linelist_csv(line_list(BH3, "nu3", ens, beta, normalization="none"))
     assert time.perf_counter() - start < 1.0

@@ -33,7 +33,12 @@ from trisym.classify import (
 )
 from trisym.group_algebra import LAMBDA_MINUS, LAMBDA_PLUS, SubspaceLabel
 
-from oracle import brute_sector_dimension, brute_statistical_weight
+from oracle import (
+    brute_sector_dimension,
+    brute_statistical_weight,
+    rotational_rep,
+    rule_classify_state,
+)
 
 S0 = Fraction(0)
 NONE = InversionSpecies.NONE
@@ -237,6 +242,19 @@ class TestClassifyStateDispatch:
         with pytest.raises(ValueError):
             classify_state(1, 0, S0, I=SPIN_HALF)
 
+    @pytest.mark.parametrize(
+        "J,K,spin,I",
+        [
+            (1, 1, Fraction(1), None),
+            (1, 0, Fraction(3, 2), None),
+            (1, 0, Fraction(1), SPIN_HALF),
+            (2, 2, Fraction(-1, 2), None),
+        ],
+    )
+    def test_rejects_unsupported_spin(self, J, K, spin, I):
+        with pytest.raises(ValueError):
+            classify_state(J, K, spin, I=I)
+
     def test_rotational_state_validation(self):
         with pytest.raises(ValueError):
             RotationalState(J=-1, K=0)
@@ -244,6 +262,38 @@ class TestClassifyStateDispatch:
             RotationalState(J=1, K=2)
         with pytest.raises(ValueError):
             RotationalState(J=1, K=0, I=Fraction(5, 2))
+
+
+class TestRuleOracle:
+    """The character derivation reproduces the explicit rule tables."""
+
+    COMBOS = [(S0, sp, None) for sp in InversionSpecies] + [
+        (SPIN_HALF, sp, I)
+        for sp in InversionSpecies
+        for I in (None, SPIN_HALF, SPIN_THREE_HALF)
+    ]
+
+    @pytest.mark.parametrize("spin,species,I", COMBOS)
+    def test_matches_rule_tables(self, spin, species, I):
+        for J in range(41):
+            for K in range(-J, J + 1):
+                assert classify_state(J, K, spin, species, I) == (
+                    rule_classify_state(J, K, spin, species, I)
+                ), (J, K)
+
+    def test_level_class_characters_are_traces(self):
+        """Each level's class character is the trace of its explicit rep."""
+        from trisym.classify import _ROT_CHARS, _level_class
+        from trisym.group_algebra import IDENTITY, P23, P123
+
+        for J in range(13):
+            for K in range(J + 1):
+                for sp in InversionSpecies:
+                    rep = rotational_rep(J, K, sp)
+                    traces = tuple(
+                        round(np.trace(rep[g]).real) for g in (IDENTITY, P23, P123)
+                    )
+                    assert _ROT_CHARS[_level_class(J, K, sp)] == traces, (J, K, sp)
 
 
 class TestSpinAndProducts:

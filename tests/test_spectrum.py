@@ -1,4 +1,4 @@
-"""Tests for energies, populations, line lists and the numeric kernels."""
+"""Tests for energies, populations and line lists."""
 
 import csv
 import io
@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from trisym import _kernels
+from trisym import spectrum
 from trisym.classify import InversionSpecies, RotationalState
 from trisym.molecules import Band, BandType, get_molecule
 from trisym.spectrum import (
@@ -317,6 +317,18 @@ class TestLineList:
         by_band = line_list(SO3, SO3.band("nu2"), self.ENS)
         assert by_name == by_band
 
+    def test_symmetry_derived_once_per_level_class(self, monkeypatch):
+        calls = {"classify_state": 0, "sector_weights": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(spectrum, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(spectrum, name, counted)
+        line_list(NH3, "nu3", ThermalEnsemble(jmax=30), ViolationModel(1e-6),
+                  normalization="none")
+        assert calls == {"classify_state": 4, "sector_weights": 4}
+
     def test_deterministic_output(self):
         beta = ViolationModel(1e-6)
         first = linelist_csv(line_list(BH3, "nu3", self.ENS, beta))
@@ -354,36 +366,3 @@ class TestSerialization:
             assert rj["intensity"] == float(rc["intensity"])
             assert rj["sp_forbidden"] == (rc["sp_forbidden"] == "true")
 
-
-class TestKernelParity:
-    """Active backend and the pure-numpy fallback agree bit-for-bit or close."""
-
-    def test_backend_flag(self):
-        assert _kernels.BACKEND in ("numba", "numpy")
-
-    def test_parity(self):
-        rng = np.random.default_rng(42)
-        n = 500
-        j = rng.integers(0, 40, n)
-        k = np.array([rng.integers(0, jj + 1) for jj in j])
-        dj = rng.integers(-1, 2, n)
-        dk = rng.choice([-1, 1], n)
-        valid = (k + dk) >= 0
-        j, k, dj, dk = j[valid], k[valid], dj[valid], dk[valid]
-
-        np_rot, np_hl, np_boltz = _kernels.numpy_backend()
-        assert np.allclose(
-            _kernels.rot_energy_array(j, k, 0.35, 0.17),
-            np_rot(j, k, 0.35, 0.17),
-            rtol=1e-14, atol=0,
-        )
-        for parallel in (True, False):
-            got = _kernels.honl_london_array(
-                j, k, dj, np.zeros_like(dk) if parallel else dk, parallel
-            )
-            want = np_hl(j, k, dj, np.zeros_like(dk) if parallel else dk, parallel)
-            assert np.allclose(got, want, rtol=1e-14, atol=1e-15)
-        e = np_rot(j, k, 0.35, 0.17)
-        assert np.allclose(
-            _kernels.boltzmann_array(e, 205.0), np_boltz(e, 205.0), rtol=1e-14
-        )
