@@ -26,6 +26,8 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .group_algebra import (
     CHARACTER_TABLE,
     CLASS_SIZES,
@@ -291,17 +293,18 @@ def _rot_character(J: int, K: int) -> tuple[int, int, int]:
     return (2, 0, round(trace.real))
 
 
-def _level_class(J: int, K: int, species: InversionSpecies) -> int:
+def _level_class(J, K, a_species):
     """Which of the four rotational characters a level carries.
 
     0: K = 0 with even effective parity, 1: K = 0 with odd effective
-    parity, 2: K = 3q != 0, 3: K not a multiple of 3.
+    parity, 2: K = 3q != 0, 3: K not a multiple of 3.  ``a_species`` says
+    whether the level is the inversion-antisymmetric (a) species.  Works
+    elementwise on integer and boolean arrays.
     """
-    if K == 0:
-        # The a-species picks up an extra sign under the exchange-equivalent
-        # rotation+inversion, which acts like a J-parity flip.
-        return int((J % 2 == 1) != (species is InversionSpecies.A))
-    return 2 if K % 3 == 0 else 3
+    # The a-species picks up an extra sign under the exchange-equivalent
+    # rotation+inversion, which acts like a J-parity flip.
+    odd = (J % 2 == 1) != a_species
+    return np.where(K == 0, odd, np.where(K % 3 == 0, 2, 3))
 
 
 #: One (J, K) level of each class, in class order, for species NONE.
@@ -334,7 +337,7 @@ def _multiplicities(J, K, nuclear_spin, species, I) -> tuple[int, int, int]:
     """A1, A2 and E multiplicities of the (rotation x spin) level."""
     _check_jk(J, K)
     spin = _spin_character(nuclear_spin, I)
-    rot = _ROT_CHARS[_level_class(J, K, species)]
+    rot = _ROT_CHARS[_level_class(J, K, species is InversionSpecies.A)]
     out = []
     for irrep, _ in _IRREP_SUBSPACES:
         total = sum(

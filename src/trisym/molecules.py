@@ -20,7 +20,8 @@ molecular constants.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -57,9 +58,10 @@ class Band:
     band_type: BandType
 
     def __post_init__(self):
-        if self.origin_cm1 <= 0:
+        if not (math.isfinite(self.origin_cm1) and self.origin_cm1 > 0):
             raise ValueError(
-                f"band {self.name!r}: origin_cm1 must be > 0, got {self.origin_cm1}"
+                f"band {self.name!r}: origin_cm1 must be finite and > 0, "
+                f"got {self.origin_cm1}"
             )
 
 
@@ -74,10 +76,10 @@ class MoleculeSpec:
     inversion_splitting_cm1: float | None = None
 
     def __post_init__(self):
-        if self.B_cm1 <= 0:
-            raise ValueError(f"B_cm1 must be > 0, got {self.B_cm1}")
-        if self.C_cm1 <= 0:
-            raise ValueError(f"C_cm1 must be > 0, got {self.C_cm1}")
+        for field in ("B_cm1", "C_cm1"):
+            value = getattr(self, field)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{field} must be finite and > 0, got {value}")
         if self.nuclear_spin not in (Fraction(0), Fraction(1, 2)):
             raise ValueError(
                 f"nuclear_spin must be 0 or 1/2, got {self.nuclear_spin}"
@@ -87,14 +89,20 @@ class MoleculeSpec:
                 raise ValueError(
                     "inversion_splitting_cm1 is required for a C3v molecule"
                 )
-            if self.inversion_splitting_cm1 < 0:
-                raise ValueError("inversion_splitting_cm1 must be >= 0")
+            split = self.inversion_splitting_cm1
+            if not (math.isfinite(split) and split >= 0):
+                raise ValueError(
+                    f"inversion_splitting_cm1 must be finite and >= 0, got {split}"
+                )
         elif self.inversion_splitting_cm1 is not None:
             raise ValueError(
                 "inversion_splitting_cm1 is only meaningful for C3v molecules"
             )
         if not self.bands:
             raise ValueError("at least one band is required")
+        names = [band.name for band in self.bands]
+        if len(set(names)) != len(names):
+            raise ValueError(f"bands: band names must be unique, got {names}")
 
     def band(self, name: str) -> Band:
         for band in self.bands:
@@ -111,26 +119,26 @@ def _spin_from_str(text) -> Fraction:
         raise ValueError(f"nuclear_spin: cannot parse {text!r}") from exc
 
 
+def _number(value, field: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{field}: expected a number, got {value!r}") from exc
+
+
 def loads_molecule(text: str) -> MoleculeSpec:
     """Parse a molecule config from YAML text."""
-    data = yaml.safe_load(text)
+    try:
+        data = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ValueError(f"invalid YAML: {' '.join(str(exc).split())}") from exc
     if not isinstance(data, dict):
         raise ValueError("molecule config must be a mapping")
-    known = {
-        "name",
-        "point_group",
-        "nuclear_spin",
-        "B_cm1",
-        "C_cm1",
-        "inversion_splitting_cm1",
-        "bands",
-    }
+    known = {field.name for field in fields(MoleculeSpec)}
     extra = set(data) - known
     if extra:
         raise ValueError(f"unknown config fields: {sorted(extra)}")
-    missing = {"name", "point_group", "nuclear_spin", "B_cm1", "C_cm1", "bands"} - set(
-        data
-    )
+    missing = known - {"inversion_splitting_cm1"} - set(data)
     if missing:
         raise ValueError(f"missing config fields: {sorted(missing)}")
     try:
@@ -139,6 +147,8 @@ def loads_molecule(text: str) -> MoleculeSpec:
         raise ValueError(
             f"point_group: must be D3h or C3v, got {data['point_group']!r}"
         ) from exc
+    if not isinstance(data["bands"], list):
+        raise ValueError(f"bands: expected a list, got {data['bands']!r}")
     bands = []
     for i, raw in enumerate(data["bands"]):
         if not isinstance(raw, dict) or set(raw) != {"name", "origin_cm1", "type"}:
@@ -152,16 +162,19 @@ def loads_molecule(text: str) -> MoleculeSpec:
                 f"bands[{i}].type: must be parallel or perpendicular, "
                 f"got {raw['type']!r}"
             ) from exc
-        bands.append(Band(str(raw["name"]), float(raw["origin_cm1"]), band_type))
+        origin = _number(raw["origin_cm1"], f"bands[{i}].origin_cm1")
+        bands.append(Band(str(raw["name"]), origin, band_type))
     inv = data.get("inversion_splitting_cm1")
     return MoleculeSpec(
         name=str(data["name"]),
         point_group=point_group,
         nuclear_spin=_spin_from_str(data["nuclear_spin"]),
-        B_cm1=float(data["B_cm1"]),
-        C_cm1=float(data["C_cm1"]),
+        B_cm1=_number(data["B_cm1"], "B_cm1"),
+        C_cm1=_number(data["C_cm1"], "C_cm1"),
         bands=tuple(bands),
-        inversion_splitting_cm1=None if inv is None else float(inv),
+        inversion_splitting_cm1=(
+            None if inv is None else _number(inv, "inversion_splitting_cm1")
+        ),
     )
 
 

@@ -13,14 +13,21 @@ intensity sums the lower-level population residing in the shared sectors.
 Sectors are tracked as A1 (totally symmetric), A2 (totally antisymmetric)
 and E (mixed symmetry); population in the statistics-required sector is
 ordinary, population anywhere else carries a factor beta.
+
+A band is computed as arrays over one level table (J, then K, then species):
+each selection-rule branch is a mask over the lower levels, symmetry enters
+through a 4 x 4 table of level-class pairs, and line objects are built only
+for the lines returned.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -72,10 +79,12 @@ class ThermalEnsemble:
     jmax: int = 30
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
-        if self.jmax < 0:
-            raise ValueError(f"jmax must be >= 0, got {self.jmax}")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError(
+                f"temperature must be finite and > 0, got {self.temperature}"
+            )
+        if not isinstance(self.jmax, Integral) or self.jmax < 0:
+            raise ValueError(f"jmax must be an integer >= 0, got {self.jmax!r}")
 
 
 @dataclass(frozen=True)
@@ -167,42 +176,44 @@ def _class_weights(molecule: MoleculeSpec):
     return table
 
 
-def _species_list(molecule: MoleculeSpec) -> tuple[InversionSpecies, ...]:
+#: Species codes index this tuple.  It is in label order, so sorting on the
+#: code sorts on the label, and ``2 - code`` is the electric-dipole partner
+#: of a level (s <-> a, none <-> none).
+_SPECIES = (InversionSpecies.A, InversionSpecies.NONE, InversionSpecies.S)
+_A, _NONE, _S = range(3)
+
+
+def _level_table(molecule: MoleculeSpec, jmax: int):
+    """J, K and species code of every level up to ``jmax``, ordered by J,
+    then K, then species (s before a).  The order fixes the rounding of the
+    partition-function sum."""
+    J, K = np.tril_indices(jmax + 1)
     if molecule.point_group is PointGroup.C3V:
-        return (InversionSpecies.S, InversionSpecies.A)
-    return (InversionSpecies.NONE,)
+        return np.repeat(J, 2), np.repeat(K, 2), np.tile([_S, _A], len(J))
+    return J, K, np.full(len(J), _NONE)
 
 
-def _levels(molecule: MoleculeSpec, jmax: int):
-    for J in range(jmax + 1):
-        for K in range(J + 1):
-            for species in _species_list(molecule):
-                yield J, K, species
+def _class_and_energy(molecule: MoleculeSpec, J, K, code):
+    """Level class (see ``classify._level_class``) and energy, inversion
+    offset included, of each level."""
+    offsets = np.array([_inversion_offset(molecule, s) for s in _SPECIES])
+    energy = _kernels.rot_energy_array(J, K, molecule.B_cm1, molecule.C_cm1)
+    return _level_class(J, K, code == _A), energy + offsets[code]
 
 
 @lru_cache(maxsize=128)
 def _partition_function_cached(
     molecule: MoleculeSpec, temperature: float, jmax: int, beta: float
 ) -> float:
-    kt = KB_CM1 * temperature
     target = _TARGET[molecule.nuclear_spin]
-    g_class = [
+    g_class = np.array([
         _population(weights, target, beta, avail)
         for weights, avail in _class_weights(molecule)
-    ]
-    j_arr, k_arr, g_arr, e_arr = [], [], [], []
-    for J, K, species in _levels(molecule, jmax):
-        j_arr.append(J)
-        k_arr.append(K)
-        g_arr.append(
-            g_class[_level_class(J, K, species)] * (2 * J + 1) * (2 if K != 0 else 1)
-        )
-        e_arr.append(_inversion_offset(molecule, species))
-    energies = _kernels.rot_energy_array(
-        np.array(j_arr), np.array(k_arr), molecule.B_cm1, molecule.C_cm1
-    ) + np.array(e_arr)
-    boltz = _kernels.boltzmann_array(energies, kt)
-    return float(np.dot(np.array(g_arr), boltz))
+    ])
+    J, K, code = _level_table(molecule, jmax)
+    cls, energy = _class_and_energy(molecule, J, K, code)
+    g = g_class[cls] * (2 * J + 1) * np.where(K != 0, 2, 1)
+    return float(np.dot(g, _kernels.boltzmann_array(energy, KB_CM1 * temperature)))
 
 
 def partition_function(
@@ -241,13 +252,69 @@ def state_population(
     return float(weight) / partition_function(molecule, ensemble, violation)
 
 
-def _upper_species(species: InversionSpecies) -> InversionSpecies:
-    # Electric-dipole parity rule: s <-> a for inversion doublets.
-    if species is InversionSpecies.S:
-        return InversionSpecies.A
-    if species is InversionSpecies.A:
-        return InversionSpecies.S
-    return InversionSpecies.NONE
+def _line_columns(
+    molecule: MoleculeSpec, band: Band, ensemble: ThermalEnsemble,
+    violation: ViolationModel, normalization: str,
+):
+    """The lines ``line_list`` keeps, as columns, and the order that sorts
+    them: frequency, intensity, lower J, K and species code, upper J and K,
+    SP and SS flags.  The per-transition arrays are freed on return, so they
+    add nothing to peak memory while the line objects are built."""
+    parallel = band.band_type is BandType.PARALLEL
+
+    # Symmetry enters only through the (lower, upper) level-class pair: the
+    # lower-level population over the shared sectors, 0 when no shared
+    # sector is populated (superselection), and the forbidden flags.
+    target = _TARGET[molecule.nuclear_spin]
+    classes = _class_weights(molecule)
+    pair_pop = np.array([
+        [_population(weights, target, violation.beta, lo_avail & up_avail)
+         for _, up_avail in classes]
+        for weights, lo_avail in classes
+    ])
+    flags = [classify_state(J, K, molecule.nuclear_spin) for J, K in _CLASS_LEVELS]
+    class_sp = np.array([f.sp_forbidden for f in flags])
+    class_ss = np.array([f.ss_forbidden for f in flags])
+    pair_sp = class_sp[:, None] | class_sp
+    pair_ss = class_ss[:, None] | class_ss
+
+    # Every level is a lower level; each (dJ, dK) branch is a mask over them.
+    J, K, code = _level_table(molecule, ensemble.jmax)
+    cls, energy = _class_and_energy(molecule, J, K, code)
+    boltz = _kernels.boltzmann_array(energy, KB_CM1 * ensemble.temperature)
+    branches = [(dj, dk) for dj in (1, 0, -1) for dk in ((0,) if parallel else (1, -1))]
+    picks = [  # 0 <= K_up <= J_up, and no 0 <- 0
+        np.flatnonzero((K + dk >= 0) & (K + dk <= J + dj) & ((J > 0) | (dj > 0)))
+        for dj, dk in branches
+    ]
+    counts = [len(p) for p in picks]
+    lo = np.concatenate(picks)
+    dj = np.repeat([b[0] for b in branches], counts)
+    dk = np.repeat([b[1] for b in branches], counts)
+    j_lo, k_lo = J[lo], K[lo]
+    j_up, k_up = j_lo + dj, k_lo + dk
+    cls_up, e_up = _class_and_energy(molecule, j_up, k_up, 2 - code[lo])
+
+    pop = pair_pop[cls[lo], cls_up]
+    freq = band.origin_cm1 + e_up - energy[lo]
+    hl = _kernels.honl_london_array(j_lo, k_lo, dj, dk, parallel)
+    dk_weight = np.where(k_lo != 0, 2.0, 1.0)
+    intensity = pop * (2 * j_lo + 1) * dk_weight * boltz[lo] * hl
+    keep = (pop != 0) & ~(intensity <= 0) & ~(freq <= 0)
+
+    lo, freq, intensity = lo[keep], freq[keep], intensity[keep]
+    j_up, k_up = j_up[keep], k_up[keep]
+    pair = (cls[lo], cls_up[keep])
+    sp, ss = pair_sp[pair], pair_ss[pair]
+    if normalization == "total":
+        intensity = intensity / partition_function(molecule, ensemble, violation)
+    elif normalization == "max":
+        allowed = ~(sp | ss)
+        if allowed.any():  # without allowed lines there is no reference; keep raw
+            intensity = intensity / intensity[allowed].max()
+
+    order = np.lexsort((k_up, j_up, code[lo], K[lo], J[lo], freq))
+    return (freq, intensity, J[lo], K[lo], code[lo], j_up, k_up, sp, ss), order
 
 
 def line_list(
@@ -274,102 +341,14 @@ def line_list(
         raise KeyError(f"band {band.name!r} does not belong to {molecule.name!r}")
     if normalization not in ("max", "total", "none"):
         raise ValueError(f"unknown normalization mode {normalization!r}")
-    parallel = band.band_type is BandType.PARALLEL
-    beta = violation.beta
-    kt = KB_CM1 * ensemble.temperature
-
-    # Symmetry enters only through the (lower, upper) level-class pair: its
-    # population factor over the shared sectors and its forbidden flags.
-    # Pairs without a populated shared sector are absent (superselection).
-    target = _TARGET[molecule.nuclear_spin]
-    classes = _class_weights(molecule)
-    flags = [classify_state(J, K, molecule.nuclear_spin) for J, K in _CLASS_LEVELS]
-    pairs = {}
-    for lo, (weights, lo_avail) in enumerate(classes):
-        for up, (_, up_avail) in enumerate(classes):
-            pop = _population(weights, target, beta, lo_avail & up_avail)
-            if pop != 0.0:
-                pairs[lo, up] = (
-                    pop,
-                    flags[lo].sp_forbidden or flags[up].sp_forbidden,
-                    flags[lo].ss_forbidden or flags[up].ss_forbidden,
-                )
-
-    records = []  # (lower, upper, dj, dk, popfactor, sp, ss)
-    for J, K, species in _levels(molecule, ensemble.jmax):
-        up_species = _upper_species(species)
-        lo = _level_class(J, K, species)
-        for dj in (1, 0, -1):
-            J_up = J + dj
-            if J_up < 0 or (J == 0 and J_up == 0):
-                continue
-            dks = (0,) if parallel else ((1,) if K == 0 else (1, -1))
-            for dk in dks:
-                K_up = K + dk
-                if K_up > J_up:
-                    continue
-                pair = pairs.get((lo, _level_class(J_up, K_up, up_species)))
-                if pair is None:
-                    continue
-                records.append((J, K, species, J_up, K_up, up_species, dj, dk, *pair))
-
-    if not records:
-        return []
-
-    j_lo = np.array([r[0] for r in records])
-    k_lo = np.array([r[1] for r in records])
-    j_up = np.array([r[3] for r in records])
-    k_up = np.array([r[4] for r in records])
-    dj = np.array([r[6] for r in records])
-    dk = np.array([r[7] for r in records])
-    pop = np.array([r[8] for r in records])
-
-    e_lo = _kernels.rot_energy_array(j_lo, k_lo, molecule.B_cm1, molecule.C_cm1)
-    e_up = _kernels.rot_energy_array(j_up, k_up, molecule.B_cm1, molecule.C_cm1)
-    off_lo = np.array([_inversion_offset(molecule, r[2]) for r in records])
-    off_up = np.array([_inversion_offset(molecule, r[5]) for r in records])
-    freq = band.origin_cm1 + (e_up + off_up) - (e_lo + off_lo)
-    hl = _kernels.honl_london_array(j_lo, k_lo, dj, dk, parallel)
-    boltz = _kernels.boltzmann_array(e_lo + off_lo, kt)
-    dk_weight = np.where(k_lo != 0, 2.0, 1.0)
-    intensity = pop * (2 * j_lo + 1) * dk_weight * boltz * hl
-
-    if normalization == "total":
-        intensity = intensity / partition_function(molecule, ensemble, violation)
-
-    lines = []
-    for i, (J, K, sp_lo, J_up, K_up, sp_up, _, _, _, sp, ss) in enumerate(records):
-        if intensity[i] <= 0.0 or freq[i] <= 0.0:
-            continue
-        lines.append(
-            SpectralLine(
-                band=band.name,
-                frequency=float(freq[i]),
-                intensity=float(intensity[i]),
-                lower=RotationalState(J, K, sp_lo),
-                upper=RotationalState(J_up, K_up, sp_up),
-                sp_forbidden=sp,
-                ss_forbidden=ss,
-            )
-        )
-
-    if normalization == "max" and lines:
-        allowed = [l for l in lines if not (l.sp_forbidden or l.ss_forbidden)]
-        if allowed:  # without allowed lines there is no reference; keep raw
-            scale = max(l.intensity for l in allowed)
-            lines = [replace(l, intensity=l.intensity / scale) for l in lines]
-
-    lines.sort(
-        key=lambda l: (
-            l.frequency,
-            l.lower.J,
-            l.lower.K,
-            l.lower.species.value,
-            l.upper.J,
-            l.upper.K,
-        )
-    )
-    return lines
+    columns, order = _line_columns(molecule, band, ensemble, violation, normalization)
+    # Sorting one column at a time keeps a single sorted copy alive.
+    rows = zip(*(column[order].tolist() for column in columns))
+    return [
+        SpectralLine(band.name, f, i, RotationalState(j_lo, k_lo, _SPECIES[c]),
+                     RotationalState(j_up, k_up, _SPECIES[2 - c]), sp, ss)
+        for f, i, j_lo, k_lo, c, j_up, k_up, sp, ss in rows
+    ]
 
 
 CSV_HEADER = (

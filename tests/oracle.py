@@ -1,4 +1,4 @@
-"""Independent oracles for the classifier tests.
+"""Independent oracles for the classifier and line-list tests.
 
 The brute-force oracle builds explicit matrix representations (the
 8-dimensional spin space as permutation matrices on occupation tuples, the
@@ -6,15 +6,29 @@ rotational level as a 1- or 2-dimensional phase representation) and counts
 target-symmetry states as the rank of the explicit (anti)symmetrizer on the
 tensor product.  The rule oracle states the allowed/SP/SS classification as
 explicit per-case tables.  Neither shares a code path with trisym.classify,
-which derives everything from character arithmetic.
+which derives everything from character arithmetic.  The loop oracle
+builds line lists and partition functions one level and one transition at
+a time in Python, the way trisym.spectrum did before it became an array
+computation over one level table; it shares only the per-class symmetry
+helpers, which the classifier oracles check.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
-from trisym.classify import ForbiddenBy, InversionSpecies, SymmetryAssignment
+from trisym import _kernels
+from trisym.classify import (
+    _CLASS_LEVELS,
+    ForbiddenBy,
+    InversionSpecies,
+    RotationalState,
+    SymmetryAssignment,
+    _level_class,
+    classify_state,
+)
 from trisym.group_algebra import (
     ELEMENTS,
     IDENTITY,
@@ -22,6 +36,14 @@ from trisym.group_algebra import (
     P123,
     SubspaceLabel,
     compose,
+)
+from trisym.molecules import BandType, PointGroup
+from trisym.spectrum import (
+    _TARGET,
+    KB_CM1,
+    SpectralLine,
+    _class_weights,
+    _population,
 )
 
 OMEGA = np.exp(2j * np.pi / 3.0)
@@ -177,3 +199,167 @@ def rule_classify_state(J, K, nuclear_spin, species=InversionSpecies.NONE, I=Non
         (False, True): ForbiddenBy.SS,
     }[(sp, ss)]
     return SymmetryAssignment(subspaces, forbidden)
+
+
+# ---------------------------------------------------------------------------
+# Loop oracle: the per-level, per-transition Python loops that trisym.spectrum
+# ran before it built line lists as columns over one level table.
+# ---------------------------------------------------------------------------
+
+
+def _species_list(molecule):
+    if molecule.point_group is PointGroup.C3V:
+        return (InversionSpecies.S, InversionSpecies.A)
+    return (InversionSpecies.NONE,)
+
+
+def _levels(molecule, jmax):
+    for J in range(jmax + 1):
+        for K in range(J + 1):
+            for species in _species_list(molecule):
+                yield J, K, species
+
+
+def _inversion_offset(molecule, species):
+    # s-component below, a-component above the unsplit level.
+    if species is InversionSpecies.NONE:
+        return 0.0
+    half = 0.5 * (molecule.inversion_splitting_cm1 or 0.0)
+    return -half if species is InversionSpecies.S else half
+
+
+def _upper_species(species):
+    # Electric-dipole parity rule: s <-> a for inversion doublets.
+    if species is InversionSpecies.S:
+        return InversionSpecies.A
+    if species is InversionSpecies.A:
+        return InversionSpecies.S
+    return InversionSpecies.NONE
+
+
+def _a(species):
+    return species is InversionSpecies.A
+
+
+def loop_partition_function(molecule, ensemble, violation):
+    """Sum of unnormalized level populations, one level at a time."""
+    kt = KB_CM1 * ensemble.temperature
+    target = _TARGET[molecule.nuclear_spin]
+    g_class = [
+        _population(weights, target, violation.beta, avail)
+        for weights, avail in _class_weights(molecule)
+    ]
+    j_arr, k_arr, g_arr, e_arr = [], [], [], []
+    for J, K, species in _levels(molecule, ensemble.jmax):
+        j_arr.append(J)
+        k_arr.append(K)
+        g_arr.append(
+            g_class[_level_class(J, K, _a(species))]
+            * (2 * J + 1)
+            * (2 if K != 0 else 1)
+        )
+        e_arr.append(_inversion_offset(molecule, species))
+    energies = _kernels.rot_energy_array(
+        np.array(j_arr), np.array(k_arr), molecule.B_cm1, molecule.C_cm1
+    ) + np.array(e_arr)
+    boltz = _kernels.boltzmann_array(energies, kt)
+    return float(np.dot(np.array(g_arr), boltz))
+
+
+def loop_line_list(molecule, band, ensemble, violation, normalization="max"):
+    """Line list from an explicit loop over levels and selection rules."""
+    band = molecule.band(band) if isinstance(band, str) else band
+    parallel = band.band_type is BandType.PARALLEL
+    beta = violation.beta
+    kt = KB_CM1 * ensemble.temperature
+
+    target = _TARGET[molecule.nuclear_spin]
+    classes = _class_weights(molecule)
+    flags = [classify_state(J, K, molecule.nuclear_spin) for J, K in _CLASS_LEVELS]
+    pairs = {}
+    for lo, (weights, lo_avail) in enumerate(classes):
+        for up, (_, up_avail) in enumerate(classes):
+            pop = _population(weights, target, beta, lo_avail & up_avail)
+            if pop != 0.0:
+                pairs[lo, up] = (
+                    pop,
+                    flags[lo].sp_forbidden or flags[up].sp_forbidden,
+                    flags[lo].ss_forbidden or flags[up].ss_forbidden,
+                )
+
+    records = []  # (lower, upper, dj, dk, popfactor, sp, ss)
+    for J, K, species in _levels(molecule, ensemble.jmax):
+        up_species = _upper_species(species)
+        lo = int(_level_class(J, K, _a(species)))
+        for dj in (1, 0, -1):
+            J_up = J + dj
+            if J_up < 0 or (J == 0 and J_up == 0):
+                continue
+            dks = (0,) if parallel else ((1,) if K == 0 else (1, -1))
+            for dk in dks:
+                K_up = K + dk
+                if K_up > J_up:
+                    continue
+                up = int(_level_class(J_up, K_up, _a(up_species)))
+                pair = pairs.get((lo, up))
+                if pair is None:
+                    continue
+                records.append((J, K, species, J_up, K_up, up_species, dj, dk, *pair))
+
+    if not records:
+        return []
+
+    j_lo = np.array([r[0] for r in records])
+    k_lo = np.array([r[1] for r in records])
+    j_up = np.array([r[3] for r in records])
+    k_up = np.array([r[4] for r in records])
+    dj = np.array([r[6] for r in records])
+    dk = np.array([r[7] for r in records])
+    pop = np.array([r[8] for r in records])
+
+    e_lo = _kernels.rot_energy_array(j_lo, k_lo, molecule.B_cm1, molecule.C_cm1)
+    e_up = _kernels.rot_energy_array(j_up, k_up, molecule.B_cm1, molecule.C_cm1)
+    off_lo = np.array([_inversion_offset(molecule, r[2]) for r in records])
+    off_up = np.array([_inversion_offset(molecule, r[5]) for r in records])
+    freq = band.origin_cm1 + (e_up + off_up) - (e_lo + off_lo)
+    hl = _kernels.honl_london_array(j_lo, k_lo, dj, dk, parallel)
+    boltz = _kernels.boltzmann_array(e_lo + off_lo, kt)
+    dk_weight = np.where(k_lo != 0, 2.0, 1.0)
+    intensity = pop * (2 * j_lo + 1) * dk_weight * boltz * hl
+
+    if normalization == "total":
+        intensity = intensity / loop_partition_function(molecule, ensemble, violation)
+
+    lines = []
+    for i, (J, K, sp_lo, J_up, K_up, sp_up, _, _, _, sp, ss) in enumerate(records):
+        if intensity[i] <= 0.0 or freq[i] <= 0.0:
+            continue
+        lines.append(
+            SpectralLine(
+                band=band.name,
+                frequency=float(freq[i]),
+                intensity=float(intensity[i]),
+                lower=RotationalState(J, K, sp_lo),
+                upper=RotationalState(J_up, K_up, sp_up),
+                sp_forbidden=sp,
+                ss_forbidden=ss,
+            )
+        )
+
+    if normalization == "max" and lines:
+        allowed = [l for l in lines if not (l.sp_forbidden or l.ss_forbidden)]
+        if allowed:  # without allowed lines there is no reference; keep raw
+            scale = max(l.intensity for l in allowed)
+            lines = [replace(l, intensity=l.intensity / scale) for l in lines]
+
+    lines.sort(
+        key=lambda l: (
+            l.frequency,
+            l.lower.J,
+            l.lower.K,
+            l.lower.species.value,
+            l.upper.J,
+            l.upper.K,
+        )
+    )
+    return lines

@@ -224,3 +224,59 @@ class TestUsageErrors:
 
     def test_parser_prog_name(self):
         assert build_parser().prog == "trisym"
+
+
+SO3_YAML = """\
+name: toy
+point_group: D3h
+nuclear_spin: "0"
+B_cm1: 0.35
+C_cm1: 0.17
+bands:
+  - {name: nu2, origin_cm1: 498.0, type: parallel}
+"""
+
+
+class TestRejectedInput:
+    """Every rejected input exits 1 with a single diagnostic line."""
+
+    def expect_error(self, capsys, argv, field):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert field in err
+
+    def config(self, tmp_path, text):
+        path = tmp_path / "toy.yaml"
+        path.write_text(text)
+        return ["linelist", "--molecule", str(path), "--band", "nu2", "--jmax", "4"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_temperature(self, capsys, value):
+        argv = ["linelist", "--molecule", "so3", "--band", "nu2", "--temp", value]
+        self.expect_error(capsys, argv, "temperature")
+
+    def test_nan_rotational_constant(self, capsys, tmp_path):
+        argv = self.config(tmp_path, SO3_YAML.replace("0.35", ".nan"))
+        self.expect_error(capsys, argv, "B_cm1")
+
+    def test_bands_null(self, capsys, tmp_path):
+        text = SO3_YAML.split("bands:")[0] + "bands: null\n"
+        self.expect_error(capsys, self.config(tmp_path, text), "bands")
+
+    def test_rotational_constant_list(self, capsys, tmp_path):
+        argv = self.config(tmp_path, SO3_YAML.replace("B_cm1: 0.35", "B_cm1: [1]"))
+        self.expect_error(capsys, argv, "B_cm1")
+
+    def test_band_origin_list(self, capsys, tmp_path):
+        argv = self.config(tmp_path, SO3_YAML.replace("498.0", "[1]"))
+        self.expect_error(capsys, argv, "origin_cm1")
+
+    def test_duplicate_band_names(self, capsys, tmp_path):
+        text = SO3_YAML + "  - {name: nu2, origin_cm1: 600.0, type: parallel}\n"
+        self.expect_error(capsys, self.config(tmp_path, text), "bands")
+
+    def test_yaml_syntax_error(self, capsys, tmp_path):
+        argv = self.config(tmp_path, SO3_YAML.replace("D3h", "[D3h"))
+        self.expect_error(capsys, argv, "invalid YAML")

@@ -143,3 +143,47 @@ def test_bands_required():
             C_cm1=0.5,
             bands=(),
         )
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("value", [NAN, INF])
+@pytest.mark.parametrize("field", ["B_cm1", "C_cm1"])
+def test_rotational_constants_must_be_finite(field, value):
+    kwargs = dict(name="x", point_group=PointGroup.D3H, nuclear_spin=Fraction(0),
+                  B_cm1=1.0, C_cm1=0.5, bands=(Band("b", 1.0, BandType.PARALLEL),))
+    with pytest.raises(ValueError, match=field):
+        MoleculeSpec(**dict(kwargs, **{field: value}))
+
+
+@pytest.mark.parametrize("value", [NAN, INF])
+def test_splitting_and_origin_must_be_finite(value):
+    with pytest.raises(ValueError, match="origin_cm1"):
+        Band("b", value, BandType.PARALLEL)
+    text = MINIMAL.replace("D3h", "C3v") + f"inversion_splitting_cm1: {value}"
+    with pytest.raises(ValueError, match="inversion_splitting_cm1"):
+        loads_molecule(text)
+
+
+@pytest.mark.parametrize(
+    "text,field",
+    [
+        (MINIMAL.split("bands:")[0] + "bands: null", "bands"),
+        (MINIMAL.replace("B_cm1: 1.0", "B_cm1: [1]"), "B_cm1"),
+        (MINIMAL.replace("C_cm1: 0.5", "C_cm1: {a: 1}"), "C_cm1"),
+        (MINIMAL.replace("1000.0", "[1]"), r"bands\[0\]\.origin_cm1"),
+        (MINIMAL.replace("B_cm1: 1.0", "B_cm1: .nan"), "B_cm1"),
+        (MINIMAL.replace("D3h", "[D3h"), "invalid YAML"),
+    ],
+    ids=["bands-null", "B-list", "C-mapping", "origin-list", "B-nan", "syntax"],
+)
+def test_malformed_yaml_names_the_field(text, field):
+    with pytest.raises(ValueError, match=field):
+        loads_molecule(text)
+
+
+def test_duplicate_band_names_rejected():
+    text = MINIMAL + "  - {name: nu1, origin_cm1: 500.0, type: parallel}\n"
+    with pytest.raises(ValueError, match="bands: band names must be unique"):
+        loads_molecule(text)

@@ -7,10 +7,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracle import loop_line_list, loop_partition_function
 from trisym import spectrum
 from trisym.classify import InversionSpecies, RotationalState
-from trisym.molecules import Band, BandType, get_molecule
+from trisym.molecules import (
+    Band,
+    BandType,
+    MoleculeSpec,
+    PointGroup,
+    get_molecule,
+    shipped_molecules,
+)
 from trisym.spectrum import (
     CSV_HEADER,
     KB_CM1,
@@ -366,3 +376,83 @@ class TestSerialization:
             assert rj["intensity"] == float(rc["intensity"])
             assert rj["sp_forbidden"] == (rc["sp_forbidden"] == "true")
 
+
+
+class TestEnsembleDomain:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_temperature_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="temperature"):
+            ThermalEnsemble(temperature=value)
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+    def test_jmax_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="jmax"):
+            ThermalEnsemble(jmax=value)
+
+    def test_numpy_integer_jmax_accepted(self):
+        assert ThermalEnsemble(jmax=np.int64(3)).jmax == 3
+
+
+class TestLoopOracle:
+    """The column engine against the per-transition loop it replaced."""
+
+    CASES = [
+        (name, band.name, beta, norm)
+        for name in shipped_molecules()
+        for band in get_molecule(name).bands
+        for beta in (0.0, 1e-9, 0.3)
+        for norm in ("max", "total", "none")
+    ]
+
+    @pytest.mark.parametrize("name,band,beta,norm", CASES)
+    def test_csv_and_partition_function_identical(self, name, band, beta, norm):
+        mol = get_molecule(name)
+        ens, violation = ThermalEnsemble(jmax=25), ViolationModel(beta)
+        engine = linelist_csv(line_list(mol, band, ens, violation, norm))
+        loop = linelist_csv(loop_line_list(mol, band, ens, violation, norm))
+        assert engine == loop
+        assert partition_function(mol, ens, violation) == (
+            loop_partition_function(mol, ens, violation)
+        )
+
+
+@st.composite
+def random_cases(draw):
+    c3v = draw(st.booleans())
+    band = Band(
+        "b",
+        draw(st.floats(0.5, 3000.0)),
+        draw(st.sampled_from(list(BandType))),
+    )
+    molecule = MoleculeSpec(
+        name="random",
+        point_group=PointGroup.C3V if c3v else PointGroup.D3H,
+        nuclear_spin=draw(st.sampled_from([Fraction(0), Fraction(1, 2)])),
+        B_cm1=draw(st.floats(0.05, 10.0)),
+        C_cm1=draw(st.floats(0.05, 10.0)),
+        bands=(band,),
+        inversion_splitting_cm1=(
+            draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0))) if c3v else None
+        ),
+    )
+    ensemble = ThermalEnsemble(
+        temperature=draw(st.floats(1.0, 3000.0)), jmax=draw(st.integers(0, 15))
+    )
+    beta = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    norm = draw(st.sampled_from(["max", "total", "none"]))
+    return molecule, ensemble, ViolationModel(beta), norm
+
+
+class TestRandomMolecules:
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(random_cases())
+    def test_engine_matches_loop_oracle(self, case):
+        molecule, ensemble, violation, norm = case
+        lines = line_list(molecule, "b", ensemble, violation, norm)
+        oracle = loop_line_list(molecule, "b", ensemble, violation, norm)
+        assert linelist_csv(lines) == linelist_csv(oracle)
+        origin = molecule.bands[0].origin_cm1
+        for l in lines:
+            upper = state_energy(molecule, l.upper.J, l.upper.K, l.upper.species)
+            lower = state_energy(molecule, l.lower.J, l.lower.K, l.lower.species)
+            assert l.frequency == origin + upper - lower
