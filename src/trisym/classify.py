@@ -62,6 +62,13 @@ SPIN_THREE_HALF = Fraction(3, 2)
 _VALID_I = (SPIN_HALF, SPIN_THREE_HALF)
 
 
+def _required_sector(nuclear_spin) -> str:
+    """The sector spin-statistics requires: A1 (totally symmetric) for
+    spin-0 nuclei, which are bosons, and A2 (totally antisymmetric) for
+    spin-1/2 nuclei, which are fermions."""
+    return "A1" if nuclear_spin == 0 else "A2"
+
+
 class InversionSpecies(enum.Enum):
     """Inversion symmetry species of a rotational level.
 
@@ -99,10 +106,7 @@ class RotationalState:
     I: Fraction | None = None
 
     def __post_init__(self):
-        if self.J < 0:
-            raise ValueError(f"J must be non-negative, got {self.J}")
-        if abs(self.K) > self.J:
-            raise ValueError(f"|K| <= J required, got K={self.K}, J={self.J}")
+        _check_jk(self.J, self.K)
         if self.I is not None and self.I not in _VALID_I:
             raise ValueError(f"I must be 1/2 or 3/2, got {self.I}")
 
@@ -256,7 +260,8 @@ def classify_state(
     """
     a1, a2, e = mult = _multiplicities(J, K, nuclear_spin, species, I)
     subspaces = frozenset(label for (_, label), n in zip(_IRREP_SUBSPACES, mult) if n)
-    required, other = (a1, a2) if nuclear_spin == 0 else (a2, a1)
+    required = {"A1": a1, "A2": a2}[_required_sector(nuclear_spin)]
+    other = a1 + a2 - required
     if required:
         forbidden = ForbiddenBy.NONE
     elif e and other:
@@ -389,5 +394,5 @@ def spin_statistical_weight(
         nuclear_spin = molecule.nuclear_spin
     if nuclear_spin is None:
         raise ValueError("either molecule or nuclear_spin is required")
-    weights = sector_weights(J, K, Fraction(nuclear_spin), species)
-    return weights["A1"] if Fraction(nuclear_spin) == 0 else weights["A2"]
+    nuclear_spin = Fraction(nuclear_spin)
+    return sector_weights(J, K, nuclear_spin, species)[_required_sector(nuclear_spin)]

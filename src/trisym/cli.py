@@ -46,6 +46,23 @@ def _complex_json(z: complex):
     return [z.real, z.imag]
 
 
+def _print_matrices(mats: dict, as_json: bool):
+    """Print named matrices, as a JSON object or as labelled text blocks."""
+    if as_json:
+        payload = {
+            name: [[_complex_json(z) for z in row] for row in mat]
+            for name, mat in mats.items()
+        }
+        print(json.dumps(payload, indent=2))
+    else:
+        out = []
+        for name, mat in mats.items():
+            out.append(f"{name}:")
+            out.extend(_matrix_lines(mat))
+            out.append("")
+        print("\n".join(out).rstrip())
+
+
 def _cmd_group(args) -> int:
     out = []
     as_json = args.format == "json"
@@ -66,18 +83,7 @@ def _cmd_group(args) -> int:
                 )
             print("\n".join(out))
     elif args.show == "matrices":
-        if as_json:
-            payload = {
-                repr(p): [[_complex_json(z) for z in row] for row in ga.regular_rep(p)]
-                for p in ga.ELEMENTS
-            }
-            print(json.dumps(payload, indent=2))
-        else:
-            for p in ga.ELEMENTS:
-                out.append(f"{p!r}:")
-                out.extend(_matrix_lines(ga.regular_rep(p).real.astype(int)))
-                out.append("")
-            print("\n".join(out).rstrip())
+        _print_matrices({repr(p): ga.regular_rep(p) for p in ga.ELEMENTS}, as_json)
     elif args.show == "eigenbasis":
         basis = ga.cycle_eigenbasis()
         names = ["s", "a", "v1", "v2", "v3", "v4"]
@@ -97,25 +103,9 @@ def _cmd_group(args) -> int:
                 out.append(f"{n:>2s}  (eigenvalue {_complex_repr(lam)}):  [{comps}]")
             print("\n".join(out))
     else:  # projectors
-        mats = {
-            "S": ga.symmetrizer(),
-            "A": ga.antisymmetrizer(),
-        }
         p1, p2 = ga.invariant_projectors()
-        mats["P1"] = p1
-        mats["P2"] = p2
-        if as_json:
-            payload = {
-                name: [[_complex_json(z) for z in row] for row in mat]
-                for name, mat in mats.items()
-            }
-            print(json.dumps(payload, indent=2))
-        else:
-            for name, mat in mats.items():
-                out.append(f"{name}:")
-                out.extend(_matrix_lines(mat))
-                out.append("")
-            print("\n".join(out).rstrip())
+        mats = {"S": ga.symmetrizer(), "A": ga.antisymmetrizer(), "P1": p1, "P2": p2}
+        _print_matrices(mats, as_json)
     return 0
 
 

@@ -120,10 +120,18 @@ def _spin_from_str(text) -> Fraction:
 
 
 def _number(value, field: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{field}: expected a number, got {value!r}") from exc
+    if not isinstance(value, bool):  # YAML true/false would read as 1/0
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{field}: expected a number, got {value!r}")
+
+
+def _string(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{field}: expected a string, got {value!r}")
+    return value
 
 
 def loads_molecule(text: str) -> MoleculeSpec:
@@ -163,10 +171,11 @@ def loads_molecule(text: str) -> MoleculeSpec:
                 f"got {raw['type']!r}"
             ) from exc
         origin = _number(raw["origin_cm1"], f"bands[{i}].origin_cm1")
-        bands.append(Band(str(raw["name"]), origin, band_type))
+        name = _string(raw["name"], f"bands[{i}].name")
+        bands.append(Band(name, origin, band_type))
     inv = data.get("inversion_splitting_cm1")
     return MoleculeSpec(
-        name=str(data["name"]),
+        name=_string(data["name"], "name"),
         point_group=point_group,
         nuclear_spin=_spin_from_str(data["nuclear_spin"]),
         B_cm1=_number(data["B_cm1"], "B_cm1"),

@@ -14,10 +14,12 @@ Sectors are tracked as A1 (totally symmetric), A2 (totally antisymmetric)
 and E (mixed symmetry); population in the statistics-required sector is
 ordinary, population anywhere else carries a factor beta.
 
-A band is computed as arrays over one level table (J, then K, then species):
-each selection-rule branch is a mask over the lower levels, symmetry enters
-through a 4 x 4 table of level-class pairs, and line objects are built only
-for the lines returned.
+A level's weight depends only on its class (see ``classify._level_class``),
+so one 4 x 4 table over (lower, upper) class pairs feeds line intensities,
+the partition function and level populations.  A band is computed as arrays
+over one level table (J, then K, then species): each selection-rule branch
+is a mask over the lower levels, and line objects are built only for the
+lines returned.  Temperatures at which any of these overflow are rejected.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from numbers import Integral
 
@@ -36,7 +37,9 @@ from .classify import (
     _CLASS_LEVELS,
     InversionSpecies,
     RotationalState,
+    _check_jk,
     _level_class,
+    _required_sector,
     classify_state,
     sector_weights,
 )
@@ -100,10 +103,7 @@ class SpectralLine:
 
 def rot_energy(molecule: MoleculeSpec, J: int, K: int) -> float:
     """Rigid-rotor energy B J(J+1) - (B - C) K^2 in cm^-1; even in K."""
-    if J < 0:
-        raise ValueError(f"J must be non-negative, got {J}")
-    if abs(K) > J:
-        raise ValueError(f"|K| <= J required, got K={K}, J={J}")
+    _check_jk(J, K)
     return molecule.B_cm1 * J * (J + 1) - (molecule.B_cm1 - molecule.C_cm1) * K * K
 
 
@@ -134,8 +134,7 @@ def honl_london(
     """
     if branch not in ("P", "Q", "R"):
         raise ValueError(f"branch must be P, Q or R, got {branch!r}")
-    if J_lower < 0 or abs(K_lower) > J_lower:
-        raise ValueError(f"invalid (J, K) = ({J_lower}, {K_lower})")
+    _check_jk(J_lower, K_lower)
     if J_lower == 0 and branch != "R":
         raise ValueError("J = 0 admits only the R branch")
     if delta_k not in (1, -1):
@@ -149,31 +148,34 @@ def honl_london(
     return float(out[0])
 
 
-_TARGET = {Fraction(0): "A1", Fraction(1, 2): "A2"}
-_SECTORS = ("A1", "A2", "E")
-
-
-def _population(weights: dict, target: str, beta: float, sectors) -> float:
-    """Statistical weight of a level, restricted to ``sectors``.
-
-    The statistics-required sector counts in full; every other sector is
-    occupied only by violating molecules and carries ``beta``.
-    """
-    total = 0.0
-    for s in _SECTORS:  # fixed order keeps float sums byte-reproducible
-        if s in sectors:
-            total += weights[s] if s == target else beta * weights[s]
-    return total
-
-
-def _class_weights(molecule: MoleculeSpec):
-    """Sector weights and occupied sectors of each level class, in class
-    order (see ``classify._level_class``)."""
-    table = []
-    for J, K in _CLASS_LEVELS:
-        weights = sector_weights(J, K, molecule.nuclear_spin)
-        table.append((weights, frozenset(s for s in _SECTORS if weights[s] > 0)))
+def _pair_populations(molecule: MoleculeSpec, beta: float) -> np.ndarray:
+    """Population factor of each (lower, upper) level-class pair: the lower
+    class's weight over the sectors both occupy (0 if none: superselection),
+    with ``beta`` on every sector but the statistics-required one.  The
+    diagonal is each class's full weight."""
+    required = _required_sector(molecule.nuclear_spin)
+    weights = [sector_weights(J, K, molecule.nuclear_spin) for J, K in _CLASS_LEVELS]
+    table = np.zeros((4, 4))
+    for s in ("A1", "A2", "E"):  # fixed order keeps float sums byte-reproducible
+        w = np.array([cw[s] for cw in weights])
+        term = w * (1.0 if s == required else beta)
+        table += np.where((w > 0)[:, None] & (w > 0), term[:, None], 0.0)
     return table
+
+
+def _check_finite(values, temperature: float, what: str):
+    if not np.isfinite(values).all():
+        raise ValueError(
+            f"temperature {temperature} K is out of range: {what} not finite"
+        )
+
+
+def _boltzmann(energy, temperature: float):
+    """Boltzmann factors exp(-E / kT) of level energies in cm^-1."""
+    with np.errstate(over="ignore"):
+        boltz = _kernels.boltzmann_array(energy, KB_CM1 * temperature)
+    _check_finite(boltz, temperature, "Boltzmann factors")
+    return boltz
 
 
 #: Species codes index this tuple.  It is in label order, so sorting on the
@@ -204,16 +206,16 @@ def _class_and_energy(molecule: MoleculeSpec, J, K, code):
 @lru_cache(maxsize=128)
 def _partition_function_cached(
     molecule: MoleculeSpec, temperature: float, jmax: int, beta: float
-) -> float:
-    target = _TARGET[molecule.nuclear_spin]
-    g_class = np.array([
-        _population(weights, target, beta, avail)
-        for weights, avail in _class_weights(molecule)
-    ])
+) -> tuple[np.ndarray, float]:
+    """Statistical weight of each level class, and the partition function."""
+    g_class = np.diagonal(_pair_populations(molecule, beta))
     J, K, code = _level_table(molecule, jmax)
     cls, energy = _class_and_energy(molecule, J, K, code)
     g = g_class[cls] * (2 * J + 1) * np.where(K != 0, 2, 1)
-    return float(np.dot(g, _kernels.boltzmann_array(energy, KB_CM1 * temperature)))
+    with np.errstate(over="ignore"):
+        z = float(np.dot(g, _boltzmann(energy, temperature)))
+    _check_finite(z, temperature, "the partition function")
+    return g_class, z
 
 
 def partition_function(
@@ -224,7 +226,7 @@ def partition_function(
     """Sum of unnormalized level populations up to the ensemble's jmax."""
     return _partition_function_cached(
         molecule, ensemble.temperature, ensemble.jmax, violation.beta
-    )
+    )[1]
 
 
 def state_population(
@@ -234,24 +236,20 @@ def state_population(
     violation: ViolationModel = ViolationModel(),
 ) -> float:
     """Fractional thermal population of one (J, K, species) level."""
-    weights = sector_weights(
-        state.J, abs(state.K), molecule.nuclear_spin, state.species
-    )
-    g = _population(
-        weights, _TARGET[molecule.nuclear_spin], violation.beta, _SECTORS
-    )
-    weight = (
-        g
-        * (2 * state.J + 1)
-        * (2 if state.K != 0 else 1)
-        * np.exp(
-            -state_energy(molecule, state.J, abs(state.K), state.species)
-            / (KB_CM1 * ensemble.temperature)
+    T = ensemble.temperature
+    g_class, z = _partition_function_cached(molecule, T, ensemble.jmax, violation.beta)
+    if z == 0:
+        raise ValueError(
+            f"partition function is 0 at temperature {T} K: no level up to "
+            f"jmax {ensemble.jmax} is populated"
         )
-    )
-    return float(weight) / partition_function(molecule, ensemble, violation)
+    J, K, species = state.J, abs(state.K), state.species
+    g = g_class[_level_class(J, K, species is InversionSpecies.A)]
+    boltz = _boltzmann(state_energy(molecule, J, K, species), T)
+    return float(g * (2 * J + 1) * (2 if K != 0 else 1) * boltz) / z
 
 
+@np.errstate(over="ignore", invalid="ignore")  # caught by the check on kept lines
 def _line_columns(
     molecule: MoleculeSpec, band: Band, ensemble: ThermalEnsemble,
     violation: ViolationModel, normalization: str,
@@ -263,15 +261,8 @@ def _line_columns(
     parallel = band.band_type is BandType.PARALLEL
 
     # Symmetry enters only through the (lower, upper) level-class pair: the
-    # lower-level population over the shared sectors, 0 when no shared
-    # sector is populated (superselection), and the forbidden flags.
-    target = _TARGET[molecule.nuclear_spin]
-    classes = _class_weights(molecule)
-    pair_pop = np.array([
-        [_population(weights, target, violation.beta, lo_avail & up_avail)
-         for _, up_avail in classes]
-        for weights, lo_avail in classes
-    ])
+    # population factor and the forbidden flags.
+    pair_pop = _pair_populations(molecule, violation.beta)
     flags = [classify_state(J, K, molecule.nuclear_spin) for J, K in _CLASS_LEVELS]
     class_sp = np.array([f.sp_forbidden for f in flags])
     class_ss = np.array([f.ss_forbidden for f in flags])
@@ -281,7 +272,7 @@ def _line_columns(
     # Every level is a lower level; each (dJ, dK) branch is a mask over them.
     J, K, code = _level_table(molecule, ensemble.jmax)
     cls, energy = _class_and_energy(molecule, J, K, code)
-    boltz = _kernels.boltzmann_array(energy, KB_CM1 * ensemble.temperature)
+    boltz = _boltzmann(energy, ensemble.temperature)
     branches = [(dj, dk) for dj in (1, 0, -1) for dk in ((0,) if parallel else (1, -1))]
     picks = [  # 0 <= K_up <= J_up, and no 0 <- 0
         np.flatnonzero((K + dk >= 0) & (K + dk <= J + dj) & ((J > 0) | (dj > 0)))
@@ -312,6 +303,7 @@ def _line_columns(
         allowed = ~(sp | ss)
         if allowed.any():  # without allowed lines there is no reference; keep raw
             intensity = intensity / intensity[allowed].max()
+    _check_finite(intensity, ensemble.temperature, "line intensities")
 
     order = np.lexsort((k_up, j_up, code[lo], K[lo], J[lo], freq))
     return (freq, intensity, J[lo], K[lo], code[lo], j_up, k_up, sp, ss), order

@@ -9,12 +9,15 @@ explicit per-case tables.  Neither shares a code path with trisym.classify,
 which derives everything from character arithmetic.  The loop oracle
 builds line lists and partition functions one level and one transition at
 a time in Python, the way trisym.spectrum did before it became an array
-computation over one level table; it shares only the per-class symmetry
-helpers, which the classifier oracles check.
+computation over one level table.  It keeps its own rule for a level's
+statistical weight over a set of sectors; of the symmetry code it shares
+only the level-class helpers and the public classifier functions, which the
+classifier oracles check.
 """
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -28,6 +31,7 @@ from trisym.classify import (
     SymmetryAssignment,
     _level_class,
     classify_state,
+    sector_weights,
 )
 from trisym.group_algebra import (
     ELEMENTS,
@@ -38,13 +42,7 @@ from trisym.group_algebra import (
     compose,
 )
 from trisym.molecules import BandType, PointGroup
-from trisym.spectrum import (
-    _TARGET,
-    KB_CM1,
-    SpectralLine,
-    _class_weights,
-    _population,
-)
+from trisym.spectrum import KB_CM1, SpectralLine, state_energy
 
 OMEGA = np.exp(2j * np.pi / 3.0)
 
@@ -207,6 +205,33 @@ def rule_classify_state(J, K, nuclear_spin, species=InversionSpecies.NONE, I=Non
 # ---------------------------------------------------------------------------
 
 
+_TARGET = {Fraction(0): "A1", Fraction(1, 2): "A2"}
+_SECTORS = ("A1", "A2", "E")
+
+
+def _population(weights: dict, target: str, beta: float, sectors) -> float:
+    """Statistical weight of a level, restricted to ``sectors``.
+
+    The statistics-required sector counts in full; every other sector is
+    occupied only by violating molecules and carries ``beta``.
+    """
+    total = 0.0
+    for s in _SECTORS:  # fixed order keeps float sums byte-reproducible
+        if s in sectors:
+            total += weights[s] if s == target else beta * weights[s]
+    return total
+
+
+def _class_weights(molecule):
+    """Sector weights and occupied sectors of each level class, in class
+    order (see ``classify._level_class``)."""
+    table = []
+    for J, K in _CLASS_LEVELS:
+        weights = sector_weights(J, K, molecule.nuclear_spin)
+        table.append((weights, frozenset(s for s in _SECTORS if weights[s] > 0)))
+    return table
+
+
 def _species_list(molecule):
     if molecule.point_group is PointGroup.C3V:
         return (InversionSpecies.S, InversionSpecies.A)
@@ -241,6 +266,7 @@ def _a(species):
     return species is InversionSpecies.A
 
 
+@lru_cache(maxsize=256)  # loop_state_population divides by it for every level
 def loop_partition_function(molecule, ensemble, violation):
     """Sum of unnormalized level populations, one level at a time."""
     kt = KB_CM1 * ensemble.temperature
@@ -264,6 +290,26 @@ def loop_partition_function(molecule, ensemble, violation):
     ) + np.array(e_arr)
     boltz = _kernels.boltzmann_array(energies, kt)
     return float(np.dot(np.array(g_arr), boltz))
+
+
+def loop_state_population(molecule, state, ensemble, violation):
+    """Fractional population of one level from its own sector weights."""
+    weights = sector_weights(
+        state.J, abs(state.K), molecule.nuclear_spin, state.species
+    )
+    g = _population(
+        weights, _TARGET[molecule.nuclear_spin], violation.beta, _SECTORS
+    )
+    weight = (
+        g
+        * (2 * state.J + 1)
+        * (2 if state.K != 0 else 1)
+        * np.exp(
+            -state_energy(molecule, state.J, abs(state.K), state.species)
+            / (KB_CM1 * ensemble.temperature)
+        )
+    )
+    return float(weight) / loop_partition_function(molecule, ensemble, violation)
 
 
 def loop_line_list(molecule, band, ensemble, violation, normalization="max"):

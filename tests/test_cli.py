@@ -280,3 +280,22 @@ class TestRejectedInput:
     def test_yaml_syntax_error(self, capsys, tmp_path):
         argv = self.config(tmp_path, SO3_YAML.replace("D3h", "[D3h"))
         self.expect_error(capsys, argv, "invalid YAML")
+
+    def test_boolean_rotational_constant(self, capsys, tmp_path):
+        argv = self.config(tmp_path, SO3_YAML.replace("0.35", "true"))
+        self.expect_error(capsys, argv, "B_cm1")
+
+    def test_band_name_not_a_string(self, capsys, tmp_path):
+        argv = self.config(tmp_path, SO3_YAML.replace("name: nu2", "name: [1, 2]"))
+        self.expect_error(capsys, argv, "bands[0].name")
+
+    @pytest.mark.parametrize("norm", ["max", "total", "none"])
+    def test_boltzmann_overflow(self, capsys, norm):
+        argv = ["linelist", "--molecule", "nh3", "--band", "nu2", "--temp", "1e-4",
+                "--normalization", norm]
+        self.expect_error(capsys, argv, "temperature 0.0001 K")
+
+    def test_intensity_overflow(self, capsys):
+        argv = ["linelist", "--molecule", "bh3", "--band", "nu3", "--temp", "0.0035",
+                "--beta", "1e-9", "--jmax", "8"]
+        self.expect_error(capsys, argv, "temperature 0.0035 K")

@@ -175,8 +175,15 @@ def test_splitting_and_origin_must_be_finite(value):
         (MINIMAL.replace("1000.0", "[1]"), r"bands\[0\]\.origin_cm1"),
         (MINIMAL.replace("B_cm1: 1.0", "B_cm1: .nan"), "B_cm1"),
         (MINIMAL.replace("D3h", "[D3h"), "invalid YAML"),
+        (MINIMAL.replace("B_cm1: 1.0", "B_cm1: true"), "B_cm1"),
+        (MINIMAL.replace("1000.0", "false"), r"bands\[0\]\.origin_cm1"),
+        (MINIMAL.replace("D3h", "C3v") + "inversion_splitting_cm1: true",
+         "inversion_splitting_cm1"),
+        (MINIMAL.replace("name: nu1", "name: [1, 2]"), r"bands\[0\]\.name"),
+        (MINIMAL.replace("name: toy", "name: 7"), "name: expected a string"),
     ],
-    ids=["bands-null", "B-list", "C-mapping", "origin-list", "B-nan", "syntax"],
+    ids=["bands-null", "B-list", "C-mapping", "origin-list", "B-nan", "syntax",
+         "B-bool", "origin-bool", "splitting-bool", "band-name-list", "name-int"],
 )
 def test_malformed_yaml_names_the_field(text, field):
     with pytest.raises(ValueError, match=field):

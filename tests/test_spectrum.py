@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import loop_line_list, loop_partition_function
+from oracle import loop_line_list, loop_partition_function, loop_state_population
 from trisym import spectrum
 from trisym.classify import InversionSpecies, RotationalState
 from trisym.molecules import (
@@ -393,6 +393,34 @@ class TestEnsembleDomain:
         assert ThermalEnsemble(jmax=np.int64(3)).jmax == 3
 
 
+class TestLowTemperature:
+    """Temperatures whose Boltzmann factors, intensities or partition
+    function leave the float range are rejected with one line."""
+
+    def test_partition_function_overflow(self):
+        with pytest.raises(ValueError, match="temperature 0.0001 K"):
+            partition_function(NH3, ThermalEnsemble(1e-4, 5))
+
+    @pytest.mark.parametrize("norm", ["max", "total", "none"])
+    def test_boltzmann_overflow_in_line_list(self, norm):
+        with pytest.raises(ValueError, match="Boltzmann factors"):
+            line_list(NH3, "nu2", ThermalEnsemble(1e-4, 5), normalization=norm)
+
+    def test_intensity_overflow_in_max_mode(self):
+        # the strongest allowed line underflows, so forbidden/allowed overflows
+        with pytest.raises(ValueError, match="line intensities"):
+            line_list(BH3, "nu3", ThermalEnsemble(0.0035, 8), ViolationModel(1e-9))
+
+    def test_population_with_underflowing_partition_function(self):
+        with pytest.raises(ValueError, match="temperature 0.001 K"):
+            state_population(BH3, RotationalState(1, 1), ThermalEnsemble(1e-3, 5))
+
+    def test_population_with_no_populated_level(self):
+        # the only level up to jmax 0 is forbidden, so Z = 0 at any temperature
+        with pytest.raises(ValueError, match="partition function is 0"):
+            state_population(BH3, RotationalState(0, 0), ThermalEnsemble(jmax=0))
+
+
 class TestLoopOracle:
     """The column engine against the per-transition loop it replaced."""
 
@@ -414,6 +442,19 @@ class TestLoopOracle:
         assert partition_function(mol, ens, violation) == (
             loop_partition_function(mol, ens, violation)
         )
+
+    @pytest.mark.parametrize("name", shipped_molecules())
+    @pytest.mark.parametrize("beta", [0.0, 1e-9, 0.3])
+    def test_state_population_identical(self, name, beta):
+        mol = get_molecule(name)
+        ens, violation = ThermalEnsemble(jmax=12), ViolationModel(beta)
+        for J in range(ens.jmax + 2):
+            for K in range(-J, J + 1):
+                for species in InversionSpecies:
+                    state = RotationalState(J, K, species)
+                    assert state_population(mol, state, ens, violation) == (
+                        loop_state_population(mol, state, ens, violation)
+                    )
 
 
 @st.composite
@@ -456,3 +497,18 @@ class TestRandomMolecules:
             upper = state_energy(molecule, l.upper.J, l.upper.K, l.upper.species)
             lower = state_energy(molecule, l.lower.J, l.lower.K, l.lower.species)
             assert l.frequency == origin + upper - lower
+
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(random_cases())
+    def test_state_population_matches_loop_oracle(self, case):
+        molecule, ensemble, violation, _ = case
+        states = [RotationalState(J, K, sp) for J in range(ensemble.jmax + 2)
+                  for K in range(J + 1) for sp in InversionSpecies]
+        if loop_partition_function(molecule, ensemble, violation) == 0:
+            with pytest.raises(ValueError, match="partition function is 0"):
+                state_population(molecule, states[0], ensemble, violation)
+            return
+        for state in states:
+            assert state_population(molecule, state, ensemble, violation) == (
+                loop_state_population(molecule, state, ensemble, violation)
+            )
