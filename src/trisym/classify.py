@@ -59,8 +59,6 @@ __all__ = [
 SPIN_HALF = Fraction(1, 2)
 SPIN_THREE_HALF = Fraction(3, 2)
 
-_VALID_I = (SPIN_HALF, SPIN_THREE_HALF)
-
 
 def _required_sector(nuclear_spin) -> str:
     """The sector spin-statistics requires: A1 (totally symmetric) for
@@ -107,8 +105,8 @@ class RotationalState:
 
     def __post_init__(self):
         _check_jk(self.J, self.K)
-        if self.I is not None and self.I not in _VALID_I:
-            raise ValueError(f"I must be 1/2 or 3/2, got {self.I}")
+        if self.I is not None:  # line-list states carry no I; skip the call
+            _check_i(self.I)
 
 
 @dataclass(frozen=True)
@@ -162,6 +160,11 @@ def _check_jk(J: int, K: int):
         raise ValueError(f"J must be non-negative, got {J}")
     if abs(K) > J:
         raise ValueError(f"|K| <= J required, got K={K}, J={J}")
+
+
+def _check_i(I):
+    if I is not None and I not in (SPIN_HALF, SPIN_THREE_HALF):
+        raise ValueError(f"I must be 1/2 or 3/2, got {I}")
 
 
 def classify_spin0_planar(J: int, K: int) -> SymmetryAssignment:
@@ -330,11 +333,9 @@ _SPIN_CHARS = {
 def _spin_character(nuclear_spin, I) -> tuple[int, int, int]:
     if nuclear_spin not in (0, SPIN_HALF):
         raise ValueError(f"nuclear spin must be 0 or 1/2, got {nuclear_spin}")
-    if I is not None:
-        if nuclear_spin == 0:
-            raise ValueError("I is only meaningful for spin-1/2 nuclei")
-        if I not in _VALID_I:
-            raise ValueError(f"I must be 1/2 or 3/2, got {I}")
+    if I is not None and nuclear_spin == 0:
+        raise ValueError("I is only meaningful for spin-1/2 nuclei")
+    _check_i(I)
     return _SPIN_CHARS[nuclear_spin, I]
 
 

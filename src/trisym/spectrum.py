@@ -16,10 +16,11 @@ ordinary, population anywhere else carries a factor beta.
 
 A level's weight depends only on its class (see ``classify._level_class``),
 so one 4 x 4 table over (lower, upper) class pairs feeds line intensities,
-the partition function and level populations.  A band is computed as arrays
-over one level table (J, then K, then species): each selection-rule branch
-is a mask over the lower levels, and line objects are built only for the
-lines returned.  Temperatures at which any of these overflow are rejected.
+the partition function and level populations.  One elementwise function
+gives each level's class, energy and degeneracy.  A band is one pass over
+the level table: each selection-rule branch is a mask over the lower levels,
+which also give the partition function; line objects are built only for the
+lines returned.  Overflowing temperatures and unpopulated ensembles are rejected.
 """
 
 from __future__ import annotations
@@ -104,15 +105,7 @@ class SpectralLine:
 def rot_energy(molecule: MoleculeSpec, J: int, K: int) -> float:
     """Rigid-rotor energy B J(J+1) - (B - C) K^2 in cm^-1; even in K."""
     _check_jk(J, K)
-    return molecule.B_cm1 * J * (J + 1) - (molecule.B_cm1 - molecule.C_cm1) * K * K
-
-
-def _inversion_offset(molecule: MoleculeSpec, species: InversionSpecies) -> float:
-    # s-component below, a-component above the unsplit level.
-    if species is InversionSpecies.NONE:
-        return 0.0
-    half = 0.5 * (molecule.inversion_splitting_cm1 or 0.0)
-    return -half if species is InversionSpecies.S else half
+    return float(_kernels.rot_energy_array(J, K, molecule.B_cm1, molecule.C_cm1))
 
 
 def state_energy(
@@ -120,7 +113,8 @@ def state_energy(
     species: InversionSpecies = InversionSpecies.NONE,
 ) -> float:
     """Level energy including the inversion-doubling offset for C3v."""
-    return rot_energy(molecule, J, K) + _inversion_offset(molecule, species)
+    _check_jk(J, K)
+    return float(_levels(molecule, J, K, _SPECIES.index(species))[1])
 
 
 def honl_london(
@@ -195,12 +189,30 @@ def _level_table(molecule: MoleculeSpec, jmax: int):
     return J, K, np.full(len(J), _NONE)
 
 
-def _class_and_energy(molecule: MoleculeSpec, J, K, code):
-    """Level class (see ``classify._level_class``) and energy, inversion
-    offset included, of each level."""
-    offsets = np.array([_inversion_offset(molecule, s) for s in _SPECIES])
+def _levels(molecule: MoleculeSpec, J, K, code):
+    """Class (see ``classify._level_class``), energy and degeneracy (2J + 1,
+    doubled for the +-K pair) of each level, elementwise; the s-component
+    lies half the inversion splitting below the unsplit level, a half above."""
+    half = 0.5 * (molecule.inversion_splitting_cm1 or 0.0)
     energy = _kernels.rot_energy_array(J, K, molecule.B_cm1, molecule.C_cm1)
-    return _level_class(J, K, code == _A), energy + offsets[code]
+    energy = energy + np.array([half, 0.0, -half])[code]
+    return _level_class(J, K, code == _A), energy, (2 * J + 1) << (K != 0)
+
+
+def _partition_sum(g_class, cls, deg, boltz, temperature: float) -> float:
+    """Partition function, summed over the levels in their order."""
+    with np.errstate(over="ignore"):
+        z = float(np.dot(g_class[cls] * deg, boltz))
+    _check_finite(z, temperature, "the partition function")
+    return z
+
+
+def _check_populated(z: float, ensemble: ThermalEnsemble):
+    if z == 0:
+        raise ValueError(
+            f"partition function is 0 at temperature {ensemble.temperature} K: "
+            f"no level up to jmax {ensemble.jmax} is populated"
+        )
 
 
 @lru_cache(maxsize=128)
@@ -209,13 +221,9 @@ def _partition_function_cached(
 ) -> tuple[np.ndarray, float]:
     """Statistical weight of each level class, and the partition function."""
     g_class = np.diagonal(_pair_populations(molecule, beta))
-    J, K, code = _level_table(molecule, jmax)
-    cls, energy = _class_and_energy(molecule, J, K, code)
-    g = g_class[cls] * (2 * J + 1) * np.where(K != 0, 2, 1)
-    with np.errstate(over="ignore"):
-        z = float(np.dot(g, _boltzmann(energy, temperature)))
-    _check_finite(z, temperature, "the partition function")
-    return g_class, z
+    cls, energy, deg = _levels(molecule, *_level_table(molecule, jmax))
+    boltz = _boltzmann(energy, temperature)
+    return g_class, _partition_sum(g_class, cls, deg, boltz, temperature)
 
 
 def partition_function(
@@ -238,15 +246,10 @@ def state_population(
     """Fractional thermal population of one (J, K, species) level."""
     T = ensemble.temperature
     g_class, z = _partition_function_cached(molecule, T, ensemble.jmax, violation.beta)
-    if z == 0:
-        raise ValueError(
-            f"partition function is 0 at temperature {T} K: no level up to "
-            f"jmax {ensemble.jmax} is populated"
-        )
-    J, K, species = state.J, abs(state.K), state.species
-    g = g_class[_level_class(J, K, species is InversionSpecies.A)]
-    boltz = _boltzmann(state_energy(molecule, J, K, species), T)
-    return float(g * (2 * J + 1) * (2 if K != 0 else 1) * boltz) / z
+    _check_populated(z, ensemble)
+    code = _SPECIES.index(state.species)
+    cls, energy, deg = _levels(molecule, state.J, abs(state.K), code)
+    return float(g_class[cls] * deg * _boltzmann(energy, T)) / z
 
 
 @np.errstate(over="ignore", invalid="ignore")  # caught by the check on kept lines
@@ -271,8 +274,10 @@ def _line_columns(
 
     # Every level is a lower level; each (dJ, dK) branch is a mask over them.
     J, K, code = _level_table(molecule, ensemble.jmax)
-    cls, energy = _class_and_energy(molecule, J, K, code)
+    cls, energy, deg = _levels(molecule, J, K, code)
     boltz = _boltzmann(energy, ensemble.temperature)
+    z = _partition_sum(np.diagonal(pair_pop), cls, deg, boltz, ensemble.temperature)
+    _check_populated(z, ensemble)
     branches = [(dj, dk) for dj in (1, 0, -1) for dk in ((0,) if parallel else (1, -1))]
     picks = [  # 0 <= K_up <= J_up, and no 0 <- 0
         np.flatnonzero((K + dk >= 0) & (K + dk <= J + dj) & ((J > 0) | (dj > 0)))
@@ -284,13 +289,12 @@ def _line_columns(
     dk = np.repeat([b[1] for b in branches], counts)
     j_lo, k_lo = J[lo], K[lo]
     j_up, k_up = j_lo + dj, k_lo + dk
-    cls_up, e_up = _class_and_energy(molecule, j_up, k_up, 2 - code[lo])
+    cls_up, e_up, _ = _levels(molecule, j_up, k_up, 2 - code[lo])
 
     pop = pair_pop[cls[lo], cls_up]
     freq = band.origin_cm1 + e_up - energy[lo]
     hl = _kernels.honl_london_array(j_lo, k_lo, dj, dk, parallel)
-    dk_weight = np.where(k_lo != 0, 2.0, 1.0)
-    intensity = pop * (2 * j_lo + 1) * dk_weight * boltz[lo] * hl
+    intensity = pop * deg[lo] * boltz[lo] * hl
     keep = (pop != 0) & ~(intensity <= 0) & ~(freq <= 0)
 
     lo, freq, intensity = lo[keep], freq[keep], intensity[keep]
@@ -298,7 +302,7 @@ def _line_columns(
     pair = (cls[lo], cls_up[keep])
     sp, ss = pair_sp[pair], pair_ss[pair]
     if normalization == "total":
-        intensity = intensity / partition_function(molecule, ensemble, violation)
+        intensity = intensity / z
     elif normalization == "max":
         allowed = ~(sp | ss)
         if allowed.any():  # without allowed lines there is no reference; keep raw
@@ -379,20 +383,14 @@ def linelist_csv(lines: list[SpectralLine]) -> str:
 
 def linelist_json(lines: list[SpectralLine]) -> str:
     """JSON mirror of the CSV schema (identical field names and rounding)."""
+    fields = CSV_HEADER.split(",")
     payload = [
-        {
-            "band": l.band,
-            "freq_cm1": float(_fmt(l.frequency)),
-            "intensity": float(_fmt(l.intensity)),
-            "J_lo": l.lower.J,
-            "K_lo": l.lower.K,
-            "species_lo": l.lower.species.value,
-            "J_up": l.upper.J,
-            "K_up": l.upper.K,
-            "species_up": l.upper.species.value,
-            "sp_forbidden": l.sp_forbidden,
-            "ss_forbidden": l.ss_forbidden,
-        }
+        dict(zip(fields, (
+            l.band, float(_fmt(l.frequency)), float(_fmt(l.intensity)),
+            l.lower.J, l.lower.K, l.lower.species.value,
+            l.upper.J, l.upper.K, l.upper.species.value,
+            l.sp_forbidden, l.ss_forbidden,
+        )))
         for l in lines
     ]
     return json.dumps(payload, indent=2) + "\n"

@@ -10,9 +10,10 @@ which derives everything from character arithmetic.  The loop oracle
 builds line lists and partition functions one level and one transition at
 a time in Python, the way trisym.spectrum did before it became an array
 computation over one level table.  It keeps its own rule for a level's
-statistical weight over a set of sectors; of the symmetry code it shares
-only the level-class helpers and the public classifier functions, which the
-classifier oracles check.
+statistical weight over a set of sectors and its own inversion offsets and
+degeneracies; of trisym it shares only the level-class helpers and the
+public classifier functions, which the classifier oracles check, and the
+numeric kernels.
 """
 
 from dataclasses import replace
@@ -42,7 +43,7 @@ from trisym.group_algebra import (
     compose,
 )
 from trisym.molecules import BandType, PointGroup
-from trisym.spectrum import KB_CM1, SpectralLine, state_energy
+from trisym.spectrum import KB_CM1, SpectralLine
 
 OMEGA = np.exp(2j * np.pi / 3.0)
 
@@ -253,6 +254,12 @@ def _inversion_offset(molecule, species):
     return -half if species is InversionSpecies.S else half
 
 
+def loop_level_energy(molecule, J, K, species):
+    """Level energy, inversion offset included, from the kernel formula."""
+    rot = _kernels.rot_energy_array(J, K, molecule.B_cm1, molecule.C_cm1)
+    return float(rot) + _inversion_offset(molecule, species)
+
+
 def _upper_species(species):
     # Electric-dipole parity rule: s <-> a for inversion doublets.
     if species is InversionSpecies.S:
@@ -305,7 +312,7 @@ def loop_state_population(molecule, state, ensemble, violation):
         * (2 * state.J + 1)
         * (2 if state.K != 0 else 1)
         * np.exp(
-            -state_energy(molecule, state.J, abs(state.K), state.species)
+            -loop_level_energy(molecule, state.J, abs(state.K), state.species)
             / (KB_CM1 * ensemble.temperature)
         )
     )

@@ -299,3 +299,7 @@ class TestRejectedInput:
         argv = ["linelist", "--molecule", "bh3", "--band", "nu3", "--temp", "0.0035",
                 "--beta", "1e-9", "--jmax", "8"]
         self.expect_error(capsys, argv, "temperature 0.0035 K")
+
+    def test_no_populated_level(self, capsys):
+        argv = ["linelist", "--molecule", "bh3", "--band", "nu3", "--temp", "1e-3"]
+        self.expect_error(capsys, argv, "partition function is 0")

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import loop_line_list, loop_partition_function, loop_state_population
+from oracle import (
+    loop_level_energy,
+    loop_line_list,
+    loop_partition_function,
+    loop_state_population,
+)
 from trisym import spectrum
 from trisym.classify import InversionSpecies, RotationalState
 from trisym.molecules import (
@@ -415,6 +421,15 @@ class TestLowTemperature:
         with pytest.raises(ValueError, match="temperature 0.001 K"):
             state_population(BH3, RotationalState(1, 1), ThermalEnsemble(1e-3, 5))
 
+    # every Boltzmann factor of a populated level underflows; at jmax 0 the
+    # only level is forbidden
+    @pytest.mark.parametrize("ensemble", [ThermalEnsemble(1e-3, 5),
+                                          ThermalEnsemble(jmax=0)])
+    @pytest.mark.parametrize("norm", ["max", "total", "none"])
+    def test_line_list_with_no_populated_level(self, ensemble, norm):
+        with pytest.raises(ValueError, match="partition function is 0"):
+            line_list(BH3, "nu3", ensemble, normalization=norm)
+
     def test_population_with_no_populated_level(self):
         # the only level up to jmax 0 is forbidden, so Z = 0 at any temperature
         with pytest.raises(ValueError, match="partition function is 0"):
@@ -489,13 +504,17 @@ class TestRandomMolecules:
     @given(random_cases())
     def test_engine_matches_loop_oracle(self, case):
         molecule, ensemble, violation, norm = case
+        if loop_partition_function(molecule, ensemble, violation) == 0:
+            with pytest.raises(ValueError, match="partition function is 0"):
+                line_list(molecule, "b", ensemble, violation, norm)
+            return
         lines = line_list(molecule, "b", ensemble, violation, norm)
         oracle = loop_line_list(molecule, "b", ensemble, violation, norm)
         assert linelist_csv(lines) == linelist_csv(oracle)
         origin = molecule.bands[0].origin_cm1
         for l in lines:
-            upper = state_energy(molecule, l.upper.J, l.upper.K, l.upper.species)
-            lower = state_energy(molecule, l.lower.J, l.lower.K, l.lower.species)
+            upper = loop_level_energy(molecule, l.upper.J, l.upper.K, l.upper.species)
+            lower = loop_level_energy(molecule, l.lower.J, l.lower.K, l.lower.species)
             assert l.frequency == origin + upper - lower
 
     @settings(deadline=None, derandomize=True, max_examples=150)
@@ -512,3 +531,10 @@ class TestRandomMolecules:
             assert state_population(molecule, state, ensemble, violation) == (
                 loop_state_population(molecule, state, ensemble, violation)
             )
+        c3v = molecule.point_group is PointGroup.C3V
+        species = (S, A) if c3v else (InversionSpecies.NONE,)
+        total = math.fsum(
+            state_population(molecule, RotationalState(J, K, sp), ensemble, violation)
+            for J in range(ensemble.jmax + 1) for K in range(J + 1) for sp in species
+        )
+        assert total == pytest.approx(1, rel=1e-12)
