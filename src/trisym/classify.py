@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 
@@ -105,6 +106,7 @@ class RotationalState:
 
     def __post_init__(self):
         _check_jk(self.J, self.K)
+        _check_species(self.species)
         if self.I is not None:  # line-list states carry no I; skip the call
             _check_i(self.I)
 
@@ -156,6 +158,12 @@ def rotation_phase_axis(
 
 
 def _check_jk(J: int, K: int):
+    # type() first: line lists build every state from plain ints, and the
+    # ABC check is the slow path
+    if not (type(J) is type(K) is int or all(
+        isinstance(x, Integral) and not isinstance(x, bool) for x in (J, K)
+    )):
+        raise ValueError(f"J and K must be integers, got J={J!r}, K={K!r}")
     if J < 0:
         raise ValueError(f"J must be non-negative, got {J}")
     if abs(K) > J:
@@ -165,6 +173,16 @@ def _check_jk(J: int, K: int):
 def _check_i(I):
     if I is not None and I not in (SPIN_HALF, SPIN_THREE_HALF):
         raise ValueError(f"I must be 1/2 or 3/2, got {I}")
+
+
+def _check_spin(nuclear_spin):
+    if nuclear_spin not in (0, SPIN_HALF):
+        raise ValueError(f"nuclear_spin must be 0 or 1/2, got {nuclear_spin}")
+
+
+def _check_species(species):
+    if type(species) is not InversionSpecies:
+        raise ValueError(f"species must be an InversionSpecies, got {species!r}")
 
 
 def classify_spin0_planar(J: int, K: int) -> SymmetryAssignment:
@@ -192,32 +210,19 @@ def spin_space_decomposition() -> dict[SubspaceLabel, list[tuple[Fraction, int]]
     }
 
 
-_PRODUCT_TABLE = {
-    (SubspaceLabel.HPLUS, SubspaceLabel.HPLUS): (SubspaceLabel.HPLUS,),
-    (SubspaceLabel.HPLUS, SubspaceLabel.HMINUS): (SubspaceLabel.HMINUS,),
-    (SubspaceLabel.HPLUS, SubspaceLabel.HPRIME): (SubspaceLabel.HPRIME,),
-    (SubspaceLabel.HMINUS, SubspaceLabel.HMINUS): (SubspaceLabel.HPLUS,),
-    (SubspaceLabel.HMINUS, SubspaceLabel.HPRIME): (SubspaceLabel.HPRIME,),
-    (SubspaceLabel.HPRIME, SubspaceLabel.HPRIME): (
-        SubspaceLabel.HPLUS,
-        SubspaceLabel.HMINUS,
-        SubspaceLabel.HPRIME,
-    ),
-}
-
-
 def product_decompose(
     a: SubspaceLabel, b: SubspaceLabel
 ) -> tuple[SubspaceLabel, ...]:
     """Symmetry types occurring in the product of two sectors.
 
     Arguments are coarse labels (HPLUS, HMINUS, HPRIME); the product is
-    symmetric in its arguments.
+    symmetric in its arguments.  It is the decomposition of the product of
+    the two irreducible characters.
     """
-    for key in ((a, b), (b, a)):
-        if key in _PRODUCT_TABLE:
-            return _PRODUCT_TABLE[key]
-    raise ValueError(f"labels must be coarse sector labels, got {a}, {b}")
+    chars = {label: CHARACTER_TABLE[irrep] for irrep, label in _IRREP_SUBSPACES}
+    if a not in chars or b not in chars:
+        raise ValueError(f"labels must be coarse sector labels, got {a}, {b}")
+    return _sectors(_decompose([chars[a][c] * chars[b][c] for c in _CLASSES]))
 
 
 def classify_spin_half_planar(
@@ -262,7 +267,7 @@ def classify_state(
     level counts as forbidden only when every hyperfine component is.
     """
     a1, a2, e = mult = _multiplicities(J, K, nuclear_spin, species, I)
-    subspaces = frozenset(label for (_, label), n in zip(_IRREP_SUBSPACES, mult) if n)
+    subspaces = frozenset(_sectors(mult))
     required = {"A1": a1, "A2": a2}[_required_sector(nuclear_spin)]
     other = a1 + a2 - required
     if required:
@@ -279,12 +284,32 @@ def classify_state(
 # transposition, three-cycle).
 # ---------------------------------------------------------------------------
 
-_CLASSES = (ClassLabel.IDENTITY, ClassLabel.TRANSPOSITION, ClassLabel.THREE_CYCLE)
+_CLASSES = tuple(ClassLabel)
 _IRREP_SUBSPACES = (
     ("A1", SubspaceLabel.HPLUS),
     ("A2", SubspaceLabel.HMINUS),
     ("E", SubspaceLabel.HPRIME),
 )
+
+
+def _decompose(character) -> tuple[int, int, int]:
+    """A1, A2 and E multiplicities of a character over ``_CLASSES``, by
+    character orthogonality."""
+    order = sum(CLASS_SIZES.values())
+    out = []
+    for irrep, _ in _IRREP_SUBSPACES:
+        total = sum(
+            CLASS_SIZES[c] * CHARACTER_TABLE[irrep][c] * x
+            for c, x in zip(_CLASSES, character)
+        )
+        assert total % order == 0, "character sum must be divisible by the group order"
+        out.append(total // order)
+    return tuple(out)
+
+
+def _sectors(mult) -> tuple[SubspaceLabel, ...]:
+    """The sectors with non-zero multiplicity, in A1, A2, E order."""
+    return tuple(label for (_, label), n in zip(_IRREP_SUBSPACES, mult) if n)
 
 
 def _rot_character(J: int, K: int) -> tuple[int, int, int]:
@@ -331,8 +356,7 @@ _SPIN_CHARS = {
 
 
 def _spin_character(nuclear_spin, I) -> tuple[int, int, int]:
-    if nuclear_spin not in (0, SPIN_HALF):
-        raise ValueError(f"nuclear spin must be 0 or 1/2, got {nuclear_spin}")
+    _check_spin(nuclear_spin)
     if I is not None and nuclear_spin == 0:
         raise ValueError("I is only meaningful for spin-1/2 nuclei")
     _check_i(I)
@@ -342,17 +366,10 @@ def _spin_character(nuclear_spin, I) -> tuple[int, int, int]:
 def _multiplicities(J, K, nuclear_spin, species, I) -> tuple[int, int, int]:
     """A1, A2 and E multiplicities of the (rotation x spin) level."""
     _check_jk(J, K)
+    _check_species(species)
     spin = _spin_character(nuclear_spin, I)
     rot = _ROT_CHARS[_level_class(J, K, species is InversionSpecies.A)]
-    out = []
-    for irrep, _ in _IRREP_SUBSPACES:
-        total = sum(
-            CLASS_SIZES[c] * CHARACTER_TABLE[irrep][c] * r * s
-            for c, r, s in zip(_CLASSES, rot, spin)
-        )
-        assert total % 6 == 0, "character sum must be divisible by the group order"
-        out.append(total // 6)
-    return tuple(out)
+    return _decompose([r * s for r, s in zip(rot, spin)])
 
 
 def sector_weights(

@@ -77,13 +77,6 @@ class ClassLabel(enum.Enum):
     THREE_CYCLE = "three-cycle"
 
 
-CLASS_SIZES: dict[ClassLabel, int] = {
-    ClassLabel.IDENTITY: 1,
-    ClassLabel.TRANSPOSITION: 3,
-    ClassLabel.THREE_CYCLE: 2,
-}
-
-
 class SubspaceLabel(enum.Enum):
     """Invariant subspace of the 6-dimensional ordering space.
 
@@ -163,6 +156,12 @@ def class_of(p: Permutation) -> ClassLabel:
     if fixed == 1:
         return ClassLabel.TRANSPOSITION
     return ClassLabel.THREE_CYCLE
+
+
+#: Number of elements in each conjugacy class (1, 3 and 2).
+CLASS_SIZES: dict[ClassLabel, int] = {
+    c: sum(class_of(g) is c for g in ELEMENTS) for c in ClassLabel
+}
 
 
 def regular_rep(p: Permutation) -> np.ndarray:

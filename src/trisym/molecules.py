@@ -28,6 +28,8 @@ from pathlib import Path
 
 import yaml
 
+from .classify import _check_spin
+
 __all__ = [
     "PointGroup",
     "BandType",
@@ -58,6 +60,12 @@ class Band:
     band_type: BandType
 
     def __post_init__(self):
+        # the name is written unquoted into every CSV row
+        if not isinstance(self.name, str) or any(c in self.name for c in ',"\r\n'):
+            raise ValueError(
+                f"band {self.name!r}: name must be a string without commas, "
+                f"double quotes or line breaks"
+            )
         if not (math.isfinite(self.origin_cm1) and self.origin_cm1 > 0):
             raise ValueError(
                 f"band {self.name!r}: origin_cm1 must be finite and > 0, "
@@ -80,10 +88,7 @@ class MoleculeSpec:
             value = getattr(self, field)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{field} must be finite and > 0, got {value}")
-        if self.nuclear_spin not in (Fraction(0), Fraction(1, 2)):
-            raise ValueError(
-                f"nuclear_spin must be 0 or 1/2, got {self.nuclear_spin}"
-            )
+        _check_spin(self.nuclear_spin)
         if self.point_group is PointGroup.C3V:
             if self.inversion_splitting_cm1 is None:
                 raise ValueError(

@@ -21,6 +21,9 @@ gives each level's class, energy and degeneracy.  A band is one pass over
 the level table: each selection-rule branch is a mask over the lower levels,
 which also give the partition function; line objects are built only for the
 lines returned.  Overflowing temperatures and unpopulated ensembles are rejected.
+
+A line's CSV fields are written once; the JSON rendering types those same
+strings, so both agree on names, order and rounding.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .classify import (
     InversionSpecies,
     RotationalState,
     _check_jk,
+    _check_species,
     _level_class,
     _required_sector,
     classify_state,
@@ -114,6 +118,7 @@ def state_energy(
 ) -> float:
     """Level energy including the inversion-doubling offset for C3v."""
     _check_jk(J, K)
+    _check_species(species)
     return float(_levels(molecule, J, K, _SPECIES.index(species))[1])
 
 
@@ -353,44 +358,30 @@ CSV_HEADER = (
 )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
+def _csv_fields(l: SpectralLine) -> tuple[str, ...]:
+    """The CSV strings of one line, in ``CSV_HEADER`` order; floats at 10
+    significant digits."""
+    return (
+        l.band, f"{l.frequency:.10g}", f"{l.intensity:.10g}",
+        str(l.lower.J), str(l.lower.K), l.lower.species.value,
+        str(l.upper.J), str(l.upper.K), l.upper.species.value,
+        "true" if l.sp_forbidden else "false",
+        "true" if l.ss_forbidden else "false",
+    )
 
 
 def linelist_csv(lines: list[SpectralLine]) -> str:
     """Byte-deterministic CSV rendering, floats at 10 significant digits."""
-    rows = [CSV_HEADER]
-    for l in lines:
-        rows.append(
-            ",".join(
-                (
-                    l.band,
-                    _fmt(l.frequency),
-                    _fmt(l.intensity),
-                    str(l.lower.J),
-                    str(l.lower.K),
-                    l.lower.species.value,
-                    str(l.upper.J),
-                    str(l.upper.K),
-                    l.upper.species.value,
-                    "true" if l.sp_forbidden else "false",
-                    "true" if l.ss_forbidden else "false",
-                )
-            )
-        )
-    return "\n".join(rows) + "\n"
+    return "\n".join([CSV_HEADER, *(",".join(_csv_fields(l)) for l in lines)]) + "\n"
 
 
 def linelist_json(lines: list[SpectralLine]) -> str:
-    """JSON mirror of the CSV schema (identical field names and rounding)."""
+    """JSON mirror of the CSV schema: each row's CSV fields, typed (numbers
+    for the floats and for J and K, booleans for the flags)."""
     fields = CSV_HEADER.split(",")
+    flag = "true".__eq__
+    types = (str, float, float, int, int, str, int, int, str, flag, flag)
     payload = [
-        dict(zip(fields, (
-            l.band, float(_fmt(l.frequency)), float(_fmt(l.intensity)),
-            l.lower.J, l.lower.K, l.lower.species.value,
-            l.upper.J, l.upper.K, l.upper.species.value,
-            l.sp_forbidden, l.ss_forbidden,
-        )))
-        for l in lines
+        {f: t(v) for f, t, v in zip(fields, types, _csv_fields(l))} for l in lines
     ]
     return json.dumps(payload, indent=2) + "\n"

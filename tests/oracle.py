@@ -13,9 +13,11 @@ computation over one level table.  It keeps its own rule for a level's
 statistical weight over a set of sectors and its own inversion offsets and
 degeneracies; of trisym it shares only the level-class helpers and the
 public classifier functions, which the classifier oracles check, and the
-numeric kernels.
+numeric kernels.  The loop serializers are the CSV and JSON writers that
+trisym.spectrum used before its JSON rows were typed from the CSV fields.
 """
 
+import json
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -43,7 +45,7 @@ from trisym.group_algebra import (
     compose,
 )
 from trisym.molecules import BandType, PointGroup
-from trisym.spectrum import KB_CM1, SpectralLine
+from trisym.spectrum import CSV_HEADER, KB_CM1, SpectralLine
 
 OMEGA = np.exp(2j * np.pi / 3.0)
 
@@ -416,3 +418,52 @@ def loop_line_list(molecule, band, ensemble, violation, normalization="max"):
         )
     )
     return lines
+
+
+# ---------------------------------------------------------------------------
+# Loop serializers: the CSV and JSON writers that trisym.spectrum used before
+# both were derived from one per-line record of CSV fields.
+# ---------------------------------------------------------------------------
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.10g}"
+
+
+def loop_linelist_csv(lines: list[SpectralLine]) -> str:
+    """Byte-deterministic CSV rendering, floats at 10 significant digits."""
+    rows = [CSV_HEADER]
+    for l in lines:
+        rows.append(
+            ",".join(
+                (
+                    l.band,
+                    _fmt(l.frequency),
+                    _fmt(l.intensity),
+                    str(l.lower.J),
+                    str(l.lower.K),
+                    l.lower.species.value,
+                    str(l.upper.J),
+                    str(l.upper.K),
+                    l.upper.species.value,
+                    "true" if l.sp_forbidden else "false",
+                    "true" if l.ss_forbidden else "false",
+                )
+            )
+        )
+    return "\n".join(rows) + "\n"
+
+
+def loop_linelist_json(lines: list[SpectralLine]) -> str:
+    """JSON mirror of the CSV schema (identical field names and rounding)."""
+    fields = CSV_HEADER.split(",")
+    payload = [
+        dict(zip(fields, (
+            l.band, float(_fmt(l.frequency)), float(_fmt(l.intensity)),
+            l.lower.J, l.lower.K, l.lower.species.value,
+            l.upper.J, l.upper.K, l.upper.species.value,
+            l.sp_forbidden, l.ss_forbidden,
+        )))
+        for l in lines
+    ]
+    return json.dumps(payload, indent=2) + "\n"

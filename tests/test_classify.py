@@ -481,3 +481,49 @@ class TestGoldenTable:
                 assert w == int(row["weight"]), row
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0
+
+
+class TestQuantumLabelDomain:
+    """J, K, species and nuclear spin each have one check, and every entry
+    point that takes the label runs it."""
+
+    def test_species_string_rejected_by_classify_state(self):
+        # "a" once fell through to the s/none rules: Hminus, SS-forbidden
+        with pytest.raises(ValueError, match="species"):
+            classify_state(1, 0, S0, "a")
+
+    def test_species_string_rejected_by_sector_weights(self):
+        with pytest.raises(ValueError, match="species"):
+            sector_weights(1, 0, S0, "a")
+
+    def test_species_string_rejected_by_rotational_state(self):
+        with pytest.raises(ValueError, match="species"):
+            RotationalState(1, 0, "s")
+
+    def test_half_integer_jk_rejected(self):
+        # once classified as SP-forbidden Hprime
+        with pytest.raises(ValueError, match="integers"):
+            classify_state(1.5, 0.5, S0)
+
+    @pytest.mark.parametrize(
+        "J,K", [(2.5, 1), (2, 1.0), (float("nan"), 0), (True, False), ("2", 1)]
+    )
+    def test_rotational_state_requires_integers(self, J, K):
+        with pytest.raises(ValueError, match="integers"):
+            RotationalState(J, K)
+
+    def test_numpy_integers_accepted(self):
+        J, K = np.int64(3), np.int32(3)
+        assert RotationalState(J, K) == RotationalState(3, 3)
+        assert classify_state(J, K, SPIN_HALF) == classify_state(3, 3, SPIN_HALF)
+        assert sector_weights(J, K, S0) == sector_weights(3, 3, S0)
+
+    def test_one_spin_message_for_molecule_and_classifier(self):
+        from trisym.molecules import MoleculeSpec, PointGroup
+
+        with pytest.raises(ValueError) as from_classifier:
+            classify_state(1, 1, Fraction(1))
+        with pytest.raises(ValueError) as from_molecule:
+            MoleculeSpec("x", PointGroup.D3H, Fraction(1), 1.0, 0.5, ())
+        assert str(from_classifier.value) == str(from_molecule.value)
+        assert str(from_molecule.value) == "nuclear_spin must be 0 or 1/2, got 1"

@@ -289,6 +289,14 @@ class TestRejectedInput:
         argv = self.config(tmp_path, SO3_YAML.replace("name: nu2", "name: [1, 2]"))
         self.expect_error(capsys, argv, "bands[0].name")
 
+    @pytest.mark.parametrize("name", ["nu,2", "nu\n2"])
+    def test_band_name_that_breaks_the_csv(self, capsys, tmp_path, name):
+        # once printed rows with 12 fields, or split rows
+        text = SO3_YAML.replace("name: nu2", f"name: {json.dumps(name)}")
+        argv = self.config(tmp_path, text)
+        argv[argv.index("--band") + 1] = name
+        self.expect_error(capsys, argv + ["--beta", "0.1"], "band ")
+
     @pytest.mark.parametrize("norm", ["max", "total", "none"])
     def test_boltzmann_overflow(self, capsys, norm):
         argv = ["linelist", "--molecule", "nh3", "--band", "nu2", "--temp", "1e-4",

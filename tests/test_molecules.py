@@ -1,5 +1,7 @@
 """Tests for molecule specs and the YAML config format."""
 
+import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -166,6 +168,18 @@ def test_splitting_and_origin_must_be_finite(value):
         loads_molecule(text)
 
 
+# each of these once reached the CSV unquoted: extra fields or split rows
+CSV_BREAKING_NAMES = {"comma": "nu,2", "quote": 'nu"2', "lf": "nu\n2", "cr": "nu\r2"}
+
+
+@pytest.mark.parametrize(
+    "name", [*CSV_BREAKING_NAMES.values(), 1], ids=[*CSV_BREAKING_NAMES, "int"]
+)
+def test_band_name_must_be_a_csv_safe_string(name):
+    with pytest.raises(ValueError, match="name must be a string without"):
+        Band(name, 1000.0, BandType.PARALLEL)
+
+
 @pytest.mark.parametrize(
     "text,field",
     [
@@ -181,9 +195,13 @@ def test_splitting_and_origin_must_be_finite(value):
          "inversion_splitting_cm1"),
         (MINIMAL.replace("name: nu1", "name: [1, 2]"), r"bands\[0\]\.name"),
         (MINIMAL.replace("name: toy", "name: 7"), "name: expected a string"),
+        *[(MINIMAL.replace("name: nu1", f"name: {json.dumps(name)}"),
+           re.escape(f"band {name!r}: name must be a string without"))
+          for name in CSV_BREAKING_NAMES.values()],
     ],
     ids=["bands-null", "B-list", "C-mapping", "origin-list", "B-nan", "syntax",
-         "B-bool", "origin-bool", "splitting-bool", "band-name-list", "name-int"],
+         "B-bool", "origin-bool", "splitting-bool", "band-name-list", "name-int",
+         *[f"band-name-{kind}" for kind in CSV_BREAKING_NAMES]],
 )
 def test_malformed_yaml_names_the_field(text, field):
     with pytest.raises(ValueError, match=field):
@@ -194,3 +212,4 @@ def test_duplicate_band_names_rejected():
     text = MINIMAL + "  - {name: nu1, origin_cm1: 500.0, type: parallel}\n"
     with pytest.raises(ValueError, match="bands: band names must be unique"):
         loads_molecule(text)
+

@@ -4,21 +4,31 @@ import csv
 import io
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle import (
     loop_level_energy,
     loop_line_list,
+    loop_linelist_csv,
+    loop_linelist_json,
     loop_partition_function,
     loop_state_population,
 )
 from trisym import spectrum
-from trisym.classify import InversionSpecies, RotationalState
+from trisym.classify import (
+    SPIN_HALF,
+    InversionSpecies,
+    RotationalState,
+    SymmetryAssignment,
+    classify_state,
+    sector_weights,
+)
 from trisym.molecules import (
     Band,
     BandType,
@@ -30,6 +40,7 @@ from trisym.molecules import (
 from trisym.spectrum import (
     CSV_HEADER,
     KB_CM1,
+    SpectralLine,
     ThermalEnsemble,
     ViolationModel,
     honl_london,
@@ -352,6 +363,26 @@ class TestLineList:
         assert first == second
 
 
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf]),
+    st.floats(),
+)
+
+
+@st.composite
+def hand_built_lines(draw):
+    """Lines built directly, with float edge cases the engine never emits."""
+    def state():
+        J = draw(st.integers(0, 10**6))
+        species = draw(st.sampled_from(list(InversionSpecies)))
+        return RotationalState(J, draw(st.integers(-J, J)), species)
+
+    return SpectralLine(
+        draw(st.sampled_from(["nu2", "b", "\u03bd3"])), draw(EDGE_FLOATS),
+        draw(EDGE_FLOATS), state(), state(), draw(st.booleans()), draw(st.booleans()),
+    )
+
+
 class TestSerialization:
     LINES = line_list(
         SO3, "nu2", ThermalEnsemble(jmax=6), ViolationModel(1e-6)
@@ -382,6 +413,11 @@ class TestSerialization:
             assert rj["intensity"] == float(rc["intensity"])
             assert rj["sp_forbidden"] == (rc["sp_forbidden"] == "true")
 
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(st.lists(hand_built_lines(), max_size=4))
+    def test_hand_built_lines_match_loop_serializers(self, lines):
+        assert linelist_csv(lines) == loop_linelist_csv(lines)
+        assert linelist_json(lines) == loop_linelist_json(lines)
 
 
 class TestEnsembleDomain:
@@ -397,6 +433,73 @@ class TestEnsembleDomain:
 
     def test_numpy_integer_jmax_accepted(self):
         assert ThermalEnsemble(jmax=np.int64(3)).jmax == 3
+
+
+#: Candidate J, K and species values: valid and invalid integers (Python and
+#: numpy), floats with NaN and inf, strings, None and the species enum.
+#: Integers stay below 1e6, where every energy is a finite float.
+QUANTUM_LABELS = st.one_of(
+    st.integers(-3, 40),
+    st.integers(-10**6, 10**6),
+    st.integers(-3, 40).map(np.int64),
+    st.floats(),
+    st.text(max_size=2),
+    st.none(),
+    st.sampled_from(list(InversionSpecies)),
+)
+
+
+def _half_valid(valid):
+    """Half the draws from ``valid``, half from any kind of label."""
+    return st.booleans().flatmap(lambda ok: valid if ok else QUANTUM_LABELS)
+
+
+class TestQuantumLabels:
+    """Every (J, K, species) the level functions accept gives a finite
+    result; every other one is a ValueError."""
+
+    def test_species_string_rejected_by_state_energy(self):
+        # once failed with a bare tuple.index error
+        with pytest.raises(ValueError, match="species"):
+            state_energy(NH3, 1, 0, "s")
+
+    def test_half_integer_j_rejected_by_rot_energy(self):
+        # once returned 2.8825
+        with pytest.raises(ValueError, match="integers"):
+            rot_energy(SO3, 2.5, 1)
+
+    def test_nan_j_rejected_by_rot_energy(self):
+        with pytest.raises(ValueError, match="integers"):
+            rot_energy(SO3, float("nan"), 0)
+
+    def test_half_integer_state_rejected_before_state_population(self):
+        # once a bare TypeError inside state_population
+        with pytest.raises(ValueError, match="integers"):
+            state_population(SO3, RotationalState(2.5, 1), ThermalEnsemble(jmax=5))
+
+    @settings(deadline=None, derandomize=True, max_examples=400)
+    @given(J=_half_valid(st.integers(0, 12)), K=_half_valid(st.integers(-12, 12)),
+           species=_half_valid(st.sampled_from(list(InversionSpecies))),
+           branch=st.sampled_from("PQR"), band_type=st.sampled_from(list(BandType)),
+           delta_k=st.sampled_from([1, -1]))
+    def test_finite_or_value_error(self, J, K, species, branch, band_type, delta_k):
+        calls = [
+            (RotationalState, (J, K, species), RotationalState),
+            (classify_state, (J, K, Fraction(0), species), SymmetryAssignment),
+            (classify_state, (J, K, SPIN_HALF, species), SymmetryAssignment),
+            (sector_weights, (J, K, SPIN_HALF, species), dict),
+            (rot_energy, (SO3, J, K), float),
+            (state_energy, (NH3, J, K, species), float),
+            (honl_london, (J, K, branch, band_type, delta_k), float),
+        ]
+        for fn, args, kind in calls:
+            try:
+                out = fn(*args)
+            except ValueError:
+                continue
+            assert type(out) is kind, (fn.__name__, args)
+            numbers = out.values() if kind is dict else [out] if kind is float else []
+            assert all(math.isfinite(x) for x in numbers), (fn.__name__, args, out)
 
 
 class TestLowTemperature:
@@ -451,9 +554,11 @@ class TestLoopOracle:
     def test_csv_and_partition_function_identical(self, name, band, beta, norm):
         mol = get_molecule(name)
         ens, violation = ThermalEnsemble(jmax=25), ViolationModel(beta)
-        engine = linelist_csv(line_list(mol, band, ens, violation, norm))
-        loop = linelist_csv(loop_line_list(mol, band, ens, violation, norm))
-        assert engine == loop
+        lines = line_list(mol, band, ens, violation, norm)
+        loop = loop_line_list(mol, band, ens, violation, norm)
+        # each list rendered by its own engine's serializers, JSON included
+        assert linelist_csv(lines) == loop_linelist_csv(loop)
+        assert linelist_json(lines) == loop_linelist_json(loop)
         assert partition_function(mol, ens, violation) == (
             loop_partition_function(mol, ens, violation)
         )
@@ -499,10 +604,39 @@ def random_cases(draw):
     return molecule, ensemble, ViolationModel(beta), norm
 
 
+#: Planar spin-1/2 molecule of the kind the strategy draws.
+_PLANAR_HALF = MoleculeSpec("random", PointGroup.D3H, SPIN_HALF, 5.0, 2.5,
+                            (Band("b", 1000.0, BandType.PERPENDICULAR),))
+#: Ensembles with Z == 0, which the strategy alone does not reach: at jmax 0
+#: and beta 0 the only level is forbidden, and at 1e-3 K the Boltzmann factor
+#: of every populated level underflows.
+Z_ZERO_CASES = [
+    (_PLANAR_HALF, ThermalEnsemble(296.0, 0), ViolationModel(0.0), "max"),
+    (_PLANAR_HALF, ThermalEnsemble(1e-3, 5), ViolationModel(0.0), "total"),
+]
+
+
+def _levels_key(l):
+    return (l.lower.J, l.lower.K, l.lower.species, l.upper.J, l.upper.K,
+            l.upper.species)
+
+
 class TestRandomMolecules:
     @settings(deadline=None, derandomize=True, max_examples=150)
-    @given(random_cases())
-    def test_engine_matches_loop_oracle(self, case):
+    @example(case=Z_ZERO_CASES[0], jk=(1, 0))
+    @example(case=Z_ZERO_CASES[1], jk=(1, 1))
+    @given(case=random_cases(),
+           jk=st.integers(1, 500).flatmap(lambda J: st.tuples(st.just(J),
+                                                              st.integers(0, J))))
+    def test_engine_matches_loop_oracle(self, case, jk):
+        J, K = jk  # Hönl-London branch sums, independent of the molecule
+        for band_type in BandType:
+            for dk in (1, -1):
+                if band_type is BandType.PERPENDICULAR and K + dk < 0:
+                    continue
+                total = sum(honl_london(J, K, b, band_type, dk) for b in "PQR")
+                assert total == pytest.approx(1.0, abs=1e-12), (band_type, dk)
+
         molecule, ensemble, violation, norm = case
         if loop_partition_function(molecule, ensemble, violation) == 0:
             with pytest.raises(ValueError, match="partition function is 0"):
@@ -510,14 +644,32 @@ class TestRandomMolecules:
             return
         lines = line_list(molecule, "b", ensemble, violation, norm)
         oracle = loop_line_list(molecule, "b", ensemble, violation, norm)
-        assert linelist_csv(lines) == linelist_csv(oracle)
-        origin = molecule.bands[0].origin_cm1
+        assert linelist_csv(lines) == loop_linelist_csv(oracle)
+        assert linelist_json(lines) == loop_linelist_json(oracle)
+        origin, spin = molecule.bands[0].origin_cm1, molecule.nuclear_spin
         for l in lines:
             upper = loop_level_energy(molecule, l.upper.J, l.upper.K, l.upper.species)
             lower = loop_level_energy(molecule, l.lower.J, l.lower.K, l.lower.species)
             assert l.frequency == origin + upper - lower
+            # superselection closure: the two levels share a sector
+            lo, up = (classify_state(s.J, s.K, spin, s.species).subspaces
+                      for s in (l.lower, l.upper))
+            assert lo & up, l
+
+        # raw forbidden intensities are exactly linear in beta while both the
+        # beta-weighted population and the intensity are normal floats
+        beta = violation.beta
+        if norm == "none" and sys.float_info.min <= beta <= 0.5:
+            doubled = {_levels_key(l): l.intensity for l in line_list(
+                molecule, "b", ensemble, ViolationModel(2 * beta), "none")}
+            for l in lines:
+                if (l.sp_forbidden or l.ss_forbidden) and (
+                        l.intensity >= sys.float_info.min):
+                    assert doubled[_levels_key(l)] == 2 * l.intensity, l
 
     @settings(deadline=None, derandomize=True, max_examples=150)
+    @example(Z_ZERO_CASES[0])
+    @example(Z_ZERO_CASES[1])
     @given(random_cases())
     def test_state_population_matches_loop_oracle(self, case):
         molecule, ensemble, violation, _ = case
