@@ -107,8 +107,7 @@ class RotationalState:
     def __post_init__(self):
         _check_jk(self.J, self.K)
         _check_species(self.species)
-        if self.I is not None:  # line-list states carry no I; skip the call
-            _check_i(self.I)
+        _check_i(self.I)
 
 
 @dataclass(frozen=True)
@@ -158,11 +157,7 @@ def rotation_phase_axis(
 
 
 def _check_jk(J: int, K: int):
-    # type() first: line lists build every state from plain ints, and the
-    # ABC check is the slow path
-    if not (type(J) is type(K) is int or all(
-        isinstance(x, Integral) and not isinstance(x, bool) for x in (J, K)
-    )):
+    if not all(isinstance(x, Integral) and not isinstance(x, bool) for x in (J, K)):
         raise ValueError(f"J and K must be integers, got J={J!r}, K={K!r}")
     if J < 0:
         raise ValueError(f"J must be non-negative, got {J}")

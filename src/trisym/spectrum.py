@@ -17,10 +17,11 @@ ordinary, population anywhere else carries a factor beta.
 A level's weight depends only on its class (see ``classify._level_class``),
 so one 4 x 4 table over (lower, upper) class pairs feeds line intensities,
 the partition function and level populations.  One elementwise function
-gives each level's class, energy and degeneracy.  A band is one pass over
-the level table: each selection-rule branch is a mask over the lower levels,
-which also give the partition function; line objects are built only for the
-lines returned.  Overflowing temperatures and unpopulated ensembles are rejected.
+gives each level's class, energy and degeneracy.  A band is one pass over a
+level table to jmax + 1 that holds both ends of every transition; its lower
+levels (J <= jmax) give the partition function.  Each level's state is built
+once and shared by every line that reaches it.  Overflowing temperatures and
+unpopulated ensembles are rejected.
 
 A line's CSV fields are written once; the JSON rendering types those same
 strings, so both agree on names, order and rounding.
@@ -262,10 +263,9 @@ def _line_columns(
     molecule: MoleculeSpec, band: Band, ensemble: ThermalEnsemble,
     violation: ViolationModel, normalization: str,
 ):
-    """The lines ``line_list`` keeps, as columns, and the order that sorts
-    them: frequency, intensity, lower J, K and species code, upper J and K,
-    SP and SS flags.  The per-transition arrays are freed on return, so they
-    add nothing to peak memory while the line objects are built."""
+    """The level table to jmax + 1, the lines ``line_list`` keeps as columns
+    (frequency, intensity, lower and upper row, SP and SS flags), and the
+    order that sorts them.  The per-transition arrays are freed on return."""
     parallel = band.band_type is BandType.PARALLEL
 
     # Symmetry enters only through the (lower, upper) level-class pair: the
@@ -277,34 +277,34 @@ def _line_columns(
     pair_sp = class_sp[:, None] | class_sp
     pair_ss = class_ss[:, None] | class_ss
 
-    # Every level is a lower level; each (dJ, dK) branch is a mask over them.
-    J, K, code = _level_table(molecule, ensemble.jmax)
-    cls, energy, deg = _levels(molecule, J, K, code)
-    boltz = _boltzmann(energy, ensemble.temperature)
-    z = _partition_sum(np.diagonal(pair_pop), cls, deg, boltz, ensemble.temperature)
+    # Both ends of every transition are rows of one level table to jmax + 1.
+    T, jmax = ensemble.temperature, ensemble.jmax
+    J, K, code = table = _level_table(molecule, jmax + 1)
+    cls, energy, deg = _levels(molecule, *table)
+    lower = slice(np.searchsorted(J, jmax, side="right"))
+    boltz = _boltzmann(energy[lower], T)
+    z = _partition_sum(np.diagonal(pair_pop), cls[lower], deg[lower], boltz, T)
     _check_populated(z, ensemble)
+    row = np.zeros((jmax + 2, jmax + 2, 3), dtype=np.intp)  # (J, K, code) -> row
+    row[table] = np.arange(len(J))
+    j, k = J[lower], K[lower]
     branches = [(dj, dk) for dj in (1, 0, -1) for dk in ((0,) if parallel else (1, -1))]
     picks = [  # 0 <= K_up <= J_up, and no 0 <- 0
-        np.flatnonzero((K + dk >= 0) & (K + dk <= J + dj) & ((J > 0) | (dj > 0)))
+        np.flatnonzero((k + dk >= 0) & (k + dk <= j + dj) & ((j > 0) | (dj > 0)))
         for dj, dk in branches
     ]
-    counts = [len(p) for p in picks]
     lo = np.concatenate(picks)
-    dj = np.repeat([b[0] for b in branches], counts)
-    dk = np.repeat([b[1] for b in branches], counts)
-    j_lo, k_lo = J[lo], K[lo]
-    j_up, k_up = j_lo + dj, k_lo + dk
-    cls_up, e_up, _ = _levels(molecule, j_up, k_up, 2 - code[lo])
+    dj, dk = np.repeat(np.transpose(branches), [len(p) for p in picks], axis=1)
+    up = row[J[lo] + dj, K[lo] + dk, 2 - code[lo]]
 
-    pop = pair_pop[cls[lo], cls_up]
-    freq = band.origin_cm1 + e_up - energy[lo]
-    hl = _kernels.honl_london_array(j_lo, k_lo, dj, dk, parallel)
+    pop = pair_pop[cls[lo], cls[up]]
+    freq = band.origin_cm1 + energy[up] - energy[lo]
+    hl = _kernels.honl_london_array(J[lo], K[lo], dj, dk, parallel)
     intensity = pop * deg[lo] * boltz[lo] * hl
     keep = (pop != 0) & ~(intensity <= 0) & ~(freq <= 0)
 
-    lo, freq, intensity = lo[keep], freq[keep], intensity[keep]
-    j_up, k_up = j_up[keep], k_up[keep]
-    pair = (cls[lo], cls_up[keep])
+    lo, up, freq, intensity = lo[keep], up[keep], freq[keep], intensity[keep]
+    pair = (cls[lo], cls[up])
     sp, ss = pair_sp[pair], pair_ss[pair]
     if normalization == "total":
         intensity = intensity / z
@@ -312,10 +312,10 @@ def _line_columns(
         allowed = ~(sp | ss)
         if allowed.any():  # without allowed lines there is no reference; keep raw
             intensity = intensity / intensity[allowed].max()
-    _check_finite(intensity, ensemble.temperature, "line intensities")
+    _check_finite(intensity, T, "line intensities")
 
-    order = np.lexsort((k_up, j_up, code[lo], K[lo], J[lo], freq))
-    return (freq, intensity, J[lo], K[lo], code[lo], j_up, k_up, sp, ss), order
+    order = np.lexsort((K[up], J[up], code[lo], K[lo], J[lo], freq))
+    return table, (freq, intensity, lo, up, sp, ss), order
 
 
 def line_list(
@@ -342,13 +342,17 @@ def line_list(
         raise KeyError(f"band {band.name!r} does not belong to {molecule.name!r}")
     if normalization not in ("max", "total", "none"):
         raise ValueError(f"unknown normalization mode {normalization!r}")
-    columns, order = _line_columns(molecule, band, ensemble, violation, normalization)
+    table, columns, order = _line_columns(
+        molecule, band, ensemble, violation, normalization
+    )
+    # One state per level, shared by every line that reaches it.
+    labels = zip(*(column.tolist() for column in table))
+    states = [RotationalState(j, k, _SPECIES[c]) for j, k, c in labels]
     # Sorting one column at a time keeps a single sorted copy alive.
     rows = zip(*(column[order].tolist() for column in columns))
     return [
-        SpectralLine(band.name, f, i, RotationalState(j_lo, k_lo, _SPECIES[c]),
-                     RotationalState(j_up, k_up, _SPECIES[2 - c]), sp, ss)
-        for f, i, j_lo, k_lo, c, j_up, k_up, sp, ss in rows
+        SpectralLine(band.name, f, i, states[lo], states[up], sp, ss)
+        for f, i, lo, up, sp, ss in rows
     ]
 
 

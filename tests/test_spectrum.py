@@ -356,6 +356,28 @@ class TestLineList:
                   normalization="none")
         assert calls == {"classify_state": 4, "sector_weights": 4}
 
+    def test_levels_and_states_built_once_per_level(self, monkeypatch):
+        # once two `_levels` passes (lower, then upper) and two states per line
+        calls = {"_levels": 0, "states": 0}
+        levels, post_init = spectrum._levels, RotationalState.__post_init__
+
+        def counted_levels(*args):
+            calls["_levels"] += 1
+            return levels(*args)
+
+        def counted_post_init(state):
+            calls["states"] += 1
+            post_init(state)
+
+        monkeypatch.setattr(spectrum, "_levels", counted_levels)
+        monkeypatch.setattr(RotationalState, "__post_init__", counted_post_init)
+        lines = line_list(NH3, "nu3", ThermalEnsemble(jmax=30), ViolationModel(1e-6),
+                          normalization="none")
+        table_rows = 2 * (32 * 33 // 2)  # s and a levels with J <= 31
+        assert calls["_levels"] == 1
+        assert calls["states"] <= table_rows
+        assert len({id(s) for l in lines for s in (l.lower, l.upper)}) <= table_rows
+
     def test_deterministic_output(self):
         beta = ViolationModel(1e-6)
         first = linelist_csv(line_list(BH3, "nu3", self.ENS, beta))
