@@ -161,6 +161,8 @@ def _check_jk(J: int, K: int):
         raise ValueError(f"J and K must be integers, got J={J!r}, K={K!r}")
     if J < 0:
         raise ValueError(f"J must be non-negative, got {J}")
+    if J > 2**53:  # the largest integer a float64 holds exactly
+        raise ValueError(f"J must be at most 2**53, got {J}")
     if abs(K) > J:
         raise ValueError(f"|K| <= J required, got K={K}, J={J}")
 
@@ -171,7 +173,7 @@ def _check_i(I):
 
 
 def _check_spin(nuclear_spin):
-    if nuclear_spin not in (0, SPIN_HALF):
+    if isinstance(nuclear_spin, (bool, np.bool_)) or nuclear_spin not in (0, SPIN_HALF):
         raise ValueError(f"nuclear_spin must be 0 or 1/2, got {nuclear_spin}")
 
 
@@ -381,7 +383,6 @@ def sector_weights(
     forbidden-to-allowed intensity ratios reduce to the bare violation
     fraction.
     """
-    nuclear_spin = Fraction(nuclear_spin)
     a1, a2, e = _multiplicities(J, K, nuclear_spin, species, None)
     if nuclear_spin == 0 and K % 3 != 0:
         return {"A1": a1, "A2": a2, "E": 1}
@@ -407,5 +408,4 @@ def spin_statistical_weight(
         nuclear_spin = molecule.nuclear_spin
     if nuclear_spin is None:
         raise ValueError("either molecule or nuclear_spin is required")
-    nuclear_spin = Fraction(nuclear_spin)
     return sector_weights(J, K, nuclear_spin, species)[_required_sector(nuclear_spin)]

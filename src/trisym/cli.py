@@ -276,7 +276,8 @@ def run(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
+        # str() would quote a KeyError's message; an OSError's args[0] is its errno
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 1
 

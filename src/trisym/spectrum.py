@@ -30,10 +30,10 @@ strings, so both agree on names, order and rounding.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -71,6 +71,11 @@ __all__ = [
 KB_CM1 = 0.6950348004
 
 
+def _is_real(x) -> bool:
+    """A real number other than a bool (True would read as 1)."""
+    return isinstance(x, Real) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ViolationModel:
     """Population fraction of symmetry-violating molecules."""
@@ -78,8 +83,8 @@ class ViolationModel:
     beta: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
+        if not (_is_real(self.beta) and 0.0 <= self.beta <= 1.0):
+            raise ValueError(f"beta must be a number in [0, 1], got {self.beta!r}")
 
 
 @dataclass(frozen=True)
@@ -88,12 +93,12 @@ class ThermalEnsemble:
     jmax: int = 30
 
     def __post_init__(self):
-        if not (math.isfinite(self.temperature) and self.temperature > 0):
-            raise ValueError(
-                f"temperature must be finite and > 0, got {self.temperature}"
-            )
-        if not isinstance(self.jmax, Integral) or self.jmax < 0:
-            raise ValueError(f"jmax must be an integer >= 0, got {self.jmax!r}")
+        T = self.temperature
+        if not (_is_real(T) and 0 < T <= sys.float_info.max):
+            raise ValueError(f"temperature must be a finite number > 0, got {T!r}")
+        jmax = self.jmax
+        if isinstance(jmax, bool) or not isinstance(jmax, Integral) or jmax < 0:
+            raise ValueError(f"jmax must be an integer >= 0, got {jmax!r}")
 
 
 @dataclass(frozen=True)
@@ -339,7 +344,8 @@ def line_list(
     if isinstance(band, str):
         band = molecule.band(band)
     elif band not in molecule.bands:
-        raise KeyError(f"band {band.name!r} does not belong to {molecule.name!r}")
+        name = band.name if isinstance(band, Band) else band
+        raise KeyError(f"band {name!r} does not belong to {molecule.name!r}")
     if normalization not in ("max", "total", "none"):
         raise ValueError(f"unknown normalization mode {normalization!r}")
     table, columns, order = _line_columns(

@@ -527,3 +527,31 @@ class TestQuantumLabelDomain:
             MoleculeSpec("x", PointGroup.D3H, Fraction(1), 1.0, 0.5, ())
         assert str(from_classifier.value) == str(from_molecule.value)
         assert str(from_molecule.value) == "nuclear_spin must be 0 or 1/2, got 1"
+
+    # once a bare TypeError (None), an OverflowError (inf), spin 1/2 ("1/2")
+    # and spin 0 (False): sector_weights coerced the spin before the check
+    @pytest.mark.parametrize("spin", [None, float("inf"), "1/2", False, np.False_])
+    def test_spin_checked_before_use(self, spin):
+        with pytest.raises(ValueError, match="nuclear_spin must be 0 or 1/2"):
+            sector_weights(1, 1, spin)
+        with pytest.raises(ValueError, match="nuclear_spin"):
+            spin_statistical_weight(1, 1, nuclear_spin=spin)
+        with pytest.raises(ValueError, match="nuclear_spin must be 0 or 1/2"):
+            classify_state(1, 1, spin)
+
+    def test_float_spin_accepted(self):
+        assert sector_weights(1, 1, 0.5) == sector_weights(1, 1, SPIN_HALF)
+        assert sector_weights(1, 1, 0.0) == sector_weights(1, 1, S0)
+
+    @pytest.mark.parametrize("J", [2**53 + 1, 10**160, 10**400],
+                             ids=["2**53+1", "10**160", "10**400"])
+    def test_j_bounded_where_floats_are_exact(self, J):
+        # once an overflow RuntimeWarning (1e160) or OverflowError (10**400)
+        # in the float paths, while the classifier accepted the level
+        with pytest.raises(ValueError, match=r"J must be at most 2\*\*53"):
+            RotationalState(J, 0)
+        with pytest.raises(ValueError, match=r"J must be at most 2\*\*53"):
+            classify_state(J, 0, S0)
+
+    def test_largest_exact_j_accepted(self):
+        assert RotationalState(2**53, 2**53).J == 2**53

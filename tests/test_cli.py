@@ -311,3 +311,19 @@ class TestRejectedInput:
     def test_no_populated_level(self, capsys):
         argv = ["linelist", "--molecule", "bh3", "--band", "nu3", "--temp", "1e-3"]
         self.expect_error(capsys, argv, "partition function is 0")
+
+    # each once printed the bare errno ("error: 2", "error: 21")
+    def test_missing_molecule_file(self, capsys, tmp_path):
+        path = str(tmp_path / "missing.yaml")
+        argv = ["linelist", "--molecule", path, "--band", "nu2"]
+        self.expect_error(capsys, argv, f"No such file or directory: {path!r}")
+
+    def test_molecule_path_is_a_directory(self, capsys, tmp_path):
+        argv = ["linelist", "--molecule", str(tmp_path), "--band", "nu2"]
+        self.expect_error(capsys, argv, f"Is a directory: {str(tmp_path)!r}")
+
+    def test_output_directory_missing(self, capsys, tmp_path):
+        out = str(tmp_path / "nodir" / "x.csv")
+        argv = ["linelist", "--molecule", "so3", "--band", "nu2", "--jmax", "2",
+                "--out", out]
+        self.expect_error(capsys, argv, f"No such file or directory: {out!r}")

@@ -456,13 +456,34 @@ class TestEnsembleDomain:
     def test_numpy_integer_jmax_accepted(self):
         assert ThermalEnsemble(jmax=np.int64(3)).jmax == 3
 
+    # bools were once read as T = 1 K, jmax = 1 and beta = 1; a string
+    # temperature and a None beta were bare TypeErrors
+    @pytest.mark.parametrize("field,make", [
+        ("temperature", lambda: ThermalEnsemble(True)),
+        ("jmax", lambda: ThermalEnsemble(296.0, True)),
+        ("temperature", lambda: ThermalEnsemble("300")),
+        ("temperature", lambda: ThermalEnsemble(10**400)),
+        ("beta", lambda: ViolationModel(True)),
+        ("beta", lambda: ViolationModel(None)),
+        ("beta", lambda: ViolationModel("0.1")),
+    ], ids=["bool-T", "bool-jmax", "str-T", "huge-T", "bool-beta", "None-beta",
+            "str-beta"])
+    def test_bool_and_non_real_rejected(self, field, make):
+        with pytest.raises(ValueError, match=field):
+            make()
 
-#: Candidate J, K and species values: valid and invalid integers (Python and
-#: numpy), floats with NaN and inf, strings, None and the species enum.
-#: Integers stay below 1e6, where every energy is a finite float.
+    def test_non_band_named_in_key_error(self):
+        # once an AttributeError raised while formatting the KeyError
+        with pytest.raises(KeyError, match="band None does not belong to 'so3'"):
+            line_list(SO3, None, ThermalEnsemble(jmax=2))
+
+#: Candidate J, K, species and nuclear-spin values: valid and invalid
+#: integers of any size (Python and numpy), bools, floats with NaN and inf,
+#: strings, None and the species enum.
 QUANTUM_LABELS = st.one_of(
+    st.booleans(),
     st.integers(-3, 40),
-    st.integers(-10**6, 10**6),
+    st.integers(),
     st.integers(-3, 40).map(np.int64),
     st.floats(),
     st.text(max_size=2),
@@ -471,9 +492,10 @@ QUANTUM_LABELS = st.one_of(
 )
 
 
-def _half_valid(valid):
-    """Half the draws from ``valid``, half from any kind of label."""
-    return st.booleans().flatmap(lambda ok: valid if ok else QUANTUM_LABELS)
+def _half_valid(valid, invalid=QUANTUM_LABELS):
+    """Half the draws from ``valid``, half from ``invalid`` (by default any
+    kind of label)."""
+    return st.booleans().flatmap(lambda ok: valid if ok else invalid)
 
 
 class TestQuantumLabels:
@@ -502,14 +524,20 @@ class TestQuantumLabels:
     @settings(deadline=None, derandomize=True, max_examples=400)
     @given(J=_half_valid(st.integers(0, 12)), K=_half_valid(st.integers(-12, 12)),
            species=_half_valid(st.sampled_from(list(InversionSpecies))),
+           spin=_half_valid(st.sampled_from([0, SPIN_HALF, 0.5])),
            branch=st.sampled_from("PQR"), band_type=st.sampled_from(list(BandType)),
            delta_k=st.sampled_from([1, -1]))
-    def test_finite_or_value_error(self, J, K, species, branch, band_type, delta_k):
+    @example(J=10**400, K=0, species=InversionSpecies.S, spin=SPIN_HALF, branch="R",
+             band_type=BandType.PARALLEL, delta_k=1)
+    def test_finite_or_value_error(self, J, K, species, spin, branch, band_type,
+                                   delta_k):
         calls = [
             (RotationalState, (J, K, species), RotationalState),
             (classify_state, (J, K, Fraction(0), species), SymmetryAssignment),
             (classify_state, (J, K, SPIN_HALF, species), SymmetryAssignment),
+            (classify_state, (J, K, spin, species), SymmetryAssignment),
             (sector_weights, (J, K, SPIN_HALF, species), dict),
+            (sector_weights, (J, K, spin, species), dict),
             (rot_energy, (SO3, J, K), float),
             (state_energy, (NH3, J, K, species), float),
             (honl_london, (J, K, branch, band_type, delta_k), float),
@@ -522,6 +550,66 @@ class TestQuantumLabels:
             assert type(out) is kind, (fn.__name__, args)
             numbers = out.values() if kind is dict else [out] if kind is float else []
             assert all(math.isfinite(x) for x in numbers), (fn.__name__, args, out)
+
+
+#: Ensemble, band and normalization inputs outside the domain: NaN, +-inf,
+#: 0, negative values, bools, strings, None and a band of another molecule.
+OUT_OF_DOMAIN = st.sampled_from([
+    math.nan, math.inf, -math.inf, 0, 0.0, -1, -0.5, True, False, "1", "nu9", None,
+    Band("nu9", 100.0, BandType.PARALLEL),
+])
+
+
+class TestEnsembleInputs:
+    """Every ensemble, violation model, band and normalization the line-list
+    functions accept gives finite values; every other one is a ValueError, or
+    a KeyError for a band the molecule does not have."""
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(molecule_band=st.sampled_from([SO3, BH3, NH3, FIXTURE]).flatmap(
+               lambda m: st.tuples(st.just(m), st.sampled_from(
+                   [*m.bands, *(b.name for b in m.bands)]))),
+           inputs=st.fixed_dictionaries({
+               "temperature": st.floats(10, 1000) | st.floats(0, exclude_min=True),
+               "jmax": st.integers(0, 6),
+               "beta": st.floats(0, 1),
+               "normalization": st.sampled_from(["max", "total", "none"]),
+           }),
+           bad=st.sampled_from([None, "temperature", "jmax", "beta", "normalization",
+                                "band"]),
+           bad_value=OUT_OF_DOMAIN,
+           J=st.integers(0, 8), K=st.integers(-8, 8), a_species=st.booleans())
+    def test_finite_value_error_or_unknown_band(
+        self, molecule_band, inputs, bad, bad_value, J, K, a_species
+    ):
+        molecule, inputs["band"] = molecule_band  # a band by name or by object
+        if bad is not None:  # one input, or none, out of the domain
+            inputs[bad] = bad_value
+        band, normalization = inputs["band"], inputs["normalization"]
+        try:
+            ensemble = ThermalEnsemble(inputs["temperature"], inputs["jmax"])
+            violation = ViolationModel(inputs["beta"])
+        except ValueError:
+            return
+        try:
+            lines = line_list(molecule, band, ensemble, violation, normalization)
+        except KeyError:
+            assert band not in molecule.bands
+            assert band not in [b.name for b in molecule.bands]
+        except ValueError:
+            pass
+        else:
+            values = [x for l in lines for x in (l.frequency, l.intensity)]
+            assert all(math.isfinite(x) for x in values)
+        species = (A if a_species else S) if molecule is NH3 else InversionSpecies.NONE
+        state = RotationalState(J, max(-J, min(K, J)), species)
+        for fn, args in ((partition_function, ()), (state_population, (state,))):
+            try:
+                out = fn(molecule, *args, ensemble, violation)
+            except ValueError:
+                continue
+            assert type(out) is float and math.isfinite(out), (fn.__name__, out)
+
 
 
 class TestLowTemperature:
