@@ -93,7 +93,7 @@ class ThermalEnsemble:
     jmax: int = 30
 
     def __post_init__(self):
-        T = self.temperature
+        T = self.temperature  # compared, not converted: a huge int overflows float()
         if not (_is_real(T) and 0 < T <= sys.float_info.max):
             raise ValueError(f"temperature must be a finite number > 0, got {T!r}")
         jmax = self.jmax
