@@ -611,7 +611,6 @@ class TestEnsembleInputs:
             assert type(out) is float and math.isfinite(out), (fn.__name__, out)
 
 
-
 class TestLowTemperature:
     """Temperatures whose Boltzmann factors, intensities or partition
     function leave the float range are rejected with one line."""
