@@ -23,9 +23,10 @@ those three numbers.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -106,7 +107,7 @@ class RotationalState:
 
     def __post_init__(self):
         _check_jk(self.J, self.K)
-        _check_species(self.species)
+        _check_type(self.species, InversionSpecies, "species")
         _check_i(self.I)
 
 
@@ -177,9 +178,26 @@ def _check_spin(nuclear_spin):
         raise ValueError(f"nuclear_spin must be 0 or 1/2, got {nuclear_spin}")
 
 
-def _check_species(species):
-    if type(species) is not InversionSpecies:
-        raise ValueError(f"species must be an InversionSpecies, got {species!r}")
+def _check_number(value, field: str, *, zero=False, high=sys.float_info.max):
+    """Reject anything but a real number in (0, high], or [0, high] with
+    ``zero``.  A bool is not a number here (True would read as 1), and the
+    value is compared, never converted: float() of a huge int overflows."""
+    if not (
+        isinstance(value, Real) and not isinstance(value, bool)
+        and (0 <= value if zero else 0 < value) and value <= high
+    ):
+        upper = "" if high == sys.float_info.max else f" and <= {high}"
+        raise ValueError(
+            f"{field} must be a finite number {'>=' if zero else '>'} 0{upper}, "
+            f"got {value!r}"
+        )
+
+
+def _check_type(value, cls: type, field: str):
+    """Reject anything whose type is not exactly ``cls``: an enum's value
+    (such as "parallel") is not its member."""
+    if type(value) is not cls:
+        raise ValueError(f"{field} must be of type {cls.__name__}, got {value!r}")
 
 
 def classify_spin0_planar(J: int, K: int) -> SymmetryAssignment:
@@ -363,7 +381,7 @@ def _spin_character(nuclear_spin, I) -> tuple[int, int, int]:
 def _multiplicities(J, K, nuclear_spin, species, I) -> tuple[int, int, int]:
     """A1, A2 and E multiplicities of the (rotation x spin) level."""
     _check_jk(J, K)
-    _check_species(species)
+    _check_type(species, InversionSpecies, "species")
     spin = _spin_character(nuclear_spin, I)
     rot = _ROT_CHARS[_level_class(J, K, species is InversionSpecies.A)]
     return _decompose([r * s for r, s in zip(rot, spin)])

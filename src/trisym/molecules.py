@@ -20,7 +20,6 @@ molecular constants.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from importlib import resources
@@ -28,7 +27,7 @@ from pathlib import Path
 
 import yaml
 
-from .classify import _check_spin
+from .classify import _check_number, _check_spin, _check_type
 
 __all__ = [
     "PointGroup",
@@ -66,11 +65,8 @@ class Band:
                 f"band {self.name!r}: name must be a string without commas, "
                 f"double quotes or line breaks"
             )
-        if not (math.isfinite(self.origin_cm1) and self.origin_cm1 > 0):
-            raise ValueError(
-                f"band {self.name!r}: origin_cm1 must be finite and > 0, "
-                f"got {self.origin_cm1}"
-            )
+        _check_number(self.origin_cm1, f"band {self.name!r}: origin_cm1")
+        _check_type(self.band_type, BandType, f"band {self.name!r}: band_type")
 
 
 @dataclass(frozen=True)
@@ -84,21 +80,18 @@ class MoleculeSpec:
     inversion_splitting_cm1: float | None = None
 
     def __post_init__(self):
-        for field in ("B_cm1", "C_cm1"):
-            value = getattr(self, field)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{field} must be finite and > 0, got {value}")
+        _check_type(self.point_group, PointGroup, "point_group")
+        _check_number(self.B_cm1, "B_cm1")
+        _check_number(self.C_cm1, "C_cm1")
         _check_spin(self.nuclear_spin)
         if self.point_group is PointGroup.C3V:
             if self.inversion_splitting_cm1 is None:
                 raise ValueError(
                     "inversion_splitting_cm1 is required for a C3v molecule"
                 )
-            split = self.inversion_splitting_cm1
-            if not (math.isfinite(split) and split >= 0):
-                raise ValueError(
-                    f"inversion_splitting_cm1 must be finite and >= 0, got {split}"
-                )
+            _check_number(
+                self.inversion_splitting_cm1, "inversion_splitting_cm1", zero=True
+            )
         elif self.inversion_splitting_cm1 is not None:
             raise ValueError(
                 "inversion_splitting_cm1 is only meaningful for C3v molecules"
@@ -117,20 +110,9 @@ class MoleculeSpec:
         raise KeyError(f"unknown band {name!r} (shipped bands: {known})")
 
 
-def _spin_from_str(text) -> Fraction:
-    try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"nuclear_spin: cannot parse {text!r}") from exc
-
-
-def _number(value, field: str) -> float:
-    if not isinstance(value, bool):  # YAML true/false would read as 1/0
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise ValueError(f"{field}: expected a number, got {value!r}")
+def _number(value, field: str, zero=False) -> float:
+    _check_number(value, field, zero=zero)
+    return float(value)  # safe once checked: a huge int is rejected first
 
 
 def _string(value, field: str) -> str:
@@ -178,16 +160,21 @@ def loads_molecule(text: str) -> MoleculeSpec:
         origin = _number(raw["origin_cm1"], f"bands[{i}].origin_cm1")
         name = _string(raw["name"], f"bands[{i}].name")
         bands.append(Band(name, origin, band_type))
+    spin = data["nuclear_spin"]
+    if spin not in ("0", "1/2"):
+        raise ValueError(
+            f'nuclear_spin: must be the literal string "0" or "1/2", got {spin!r}'
+        )
     inv = data.get("inversion_splitting_cm1")
     return MoleculeSpec(
         name=_string(data["name"], "name"),
         point_group=point_group,
-        nuclear_spin=_spin_from_str(data["nuclear_spin"]),
+        nuclear_spin=Fraction(spin),
         B_cm1=_number(data["B_cm1"], "B_cm1"),
         C_cm1=_number(data["C_cm1"], "C_cm1"),
         bands=tuple(bands),
         inversion_splitting_cm1=(
-            None if inv is None else _number(inv, "inversion_splitting_cm1")
+            None if inv is None else _number(inv, "inversion_splitting_cm1", True)
         ),
     )
 

@@ -30,10 +30,9 @@ strings, so both agree on names, order and rounding.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
@@ -43,7 +42,8 @@ from .classify import (
     InversionSpecies,
     RotationalState,
     _check_jk,
-    _check_species,
+    _check_number,
+    _check_type,
     _level_class,
     _required_sector,
     classify_state,
@@ -71,11 +71,6 @@ __all__ = [
 KB_CM1 = 0.6950348004
 
 
-def _is_real(x) -> bool:
-    """A real number other than a bool (True would read as 1)."""
-    return isinstance(x, Real) and not isinstance(x, bool)
-
-
 @dataclass(frozen=True)
 class ViolationModel:
     """Population fraction of symmetry-violating molecules."""
@@ -83,8 +78,7 @@ class ViolationModel:
     beta: float = 0.0
 
     def __post_init__(self):
-        if not (_is_real(self.beta) and 0.0 <= self.beta <= 1.0):
-            raise ValueError(f"beta must be a number in [0, 1], got {self.beta!r}")
+        _check_number(self.beta, "beta", zero=True, high=1)
 
 
 @dataclass(frozen=True)
@@ -93,9 +87,7 @@ class ThermalEnsemble:
     jmax: int = 30
 
     def __post_init__(self):
-        T = self.temperature  # compared, not converted: a huge int overflows float()
-        if not (_is_real(T) and 0 < T <= sys.float_info.max):
-            raise ValueError(f"temperature must be a finite number > 0, got {T!r}")
+        _check_number(self.temperature, "temperature")
         jmax = self.jmax
         if isinstance(jmax, bool) or not isinstance(jmax, Integral) or jmax < 0:
             raise ValueError(f"jmax must be an integer >= 0, got {jmax!r}")
@@ -124,7 +116,7 @@ def state_energy(
 ) -> float:
     """Level energy including the inversion-doubling offset for C3v."""
     _check_jk(J, K)
-    _check_species(species)
+    _check_type(species, InversionSpecies, "species")
     return float(_levels(molecule, J, K, _SPECIES.index(species))[1])
 
 
@@ -140,6 +132,7 @@ def honl_london(
     if branch not in ("P", "Q", "R"):
         raise ValueError(f"branch must be P, Q or R, got {branch!r}")
     _check_jk(J_lower, K_lower)
+    _check_type(band_type, BandType, "band_type")
     if J_lower == 0 and branch != "R":
         raise ValueError("J = 0 admits only the R branch")
     if delta_k not in (1, -1):

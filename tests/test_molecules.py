@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from trisym.classify import RotationalState
 from trisym.molecules import (
     Band,
     BandType,
@@ -17,6 +18,7 @@ from trisym.molecules import (
     loads_molecule,
     shipped_molecules,
 )
+from trisym.spectrum import ThermalEnsemble, ViolationModel
 
 MINIMAL = """
 name: toy
@@ -213,3 +215,64 @@ def test_duplicate_band_names_rejected():
     with pytest.raises(ValueError, match="bands: band names must be unique"):
         loads_molecule(text)
 
+
+
+# One number rule and one enum-type rule behind every input.  Each of these
+# once got through somewhere: True read as 1.0, "1" as a bare TypeError or a
+# coerced 1.0, 10**400 as an OverflowError, an enum value as another member.
+BAD_NUMBERS = {"bool": (True, "true"), "str": ("1", '"1"'),
+               "huge": (10**400, str(10**400)), "nan": (NAN, ".nan"),
+               "inf": (INF, ".inf")}
+SPEC = dict(name="x", point_group=PointGroup.D3H, nuclear_spin=Fraction(0),
+            B_cm1=1.0, C_cm1=0.5, bands=(Band("b", 1.0, BandType.PARALLEL),))
+C3V_SPEC = dict(SPEC, point_group=PointGroup.C3V, inversion_splitting_cm1=0.8)
+C3V_TEXT = MINIMAL.replace("D3h", "C3v") + "inversion_splitting_cm1: 0.8\n"
+NUMBER_FIELDS = {
+    "temperature": lambda v: ThermalEnsemble(v),
+    "beta": lambda v: ViolationModel(v),
+    "B_cm1": lambda v: MoleculeSpec(**dict(SPEC, B_cm1=v)),
+    "C_cm1": lambda v: MoleculeSpec(**dict(SPEC, C_cm1=v)),
+    "inversion_splitting_cm1":
+        lambda v: MoleculeSpec(**dict(C3V_SPEC, inversion_splitting_cm1=v)),
+    "origin_cm1": lambda v: Band("b", v, BandType.PARALLEL),
+}
+YAML_FIELDS = {
+    "B_cm1": ("B_cm1: 1.0", MINIMAL),
+    "C_cm1": ("C_cm1: 0.5", MINIMAL),
+    "inversion_splitting_cm1": ("inversion_splitting_cm1: 0.8", C3V_TEXT),
+    "bands[0].origin_cm1": ("origin_cm1: 1000.0", MINIMAL),
+}
+
+
+@pytest.mark.parametrize("kind", BAD_NUMBERS)
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
+def test_every_number_field_rejects_non_numbers(field, kind):
+    with pytest.raises(ValueError, match=field):
+        NUMBER_FIELDS[field](BAD_NUMBERS[kind][0])
+
+
+@pytest.mark.parametrize("kind", BAD_NUMBERS)
+@pytest.mark.parametrize("field", YAML_FIELDS)
+def test_every_yaml_number_rejects_non_numbers(field, kind):
+    line, text = YAML_FIELDS[field]
+    key = line.split(":")[0]
+    with pytest.raises(ValueError, match=re.escape(field)):
+        loads_molecule(text.replace(line, f"{key}: {BAD_NUMBERS[kind][1]}"))
+
+
+@pytest.mark.parametrize("field,make", [
+    ("species", lambda: RotationalState(1, 0, "s")),
+    ("point_group", lambda: MoleculeSpec(**dict(C3V_SPEC, point_group="C3v"))),
+    ("band_type", lambda: Band("nu2", 498.0, "parallel")),
+], ids=["species", "point_group", "band_type"])
+def test_every_enum_field_rejects_its_value_as_a_string(field, make):
+    # "parallel" was once read as perpendicular, "C3v" as D3h
+    with pytest.raises(ValueError, match=field):
+        make()
+
+
+@pytest.mark.parametrize("spin", ["0.5", '"2/4"', "0", '"0.0"', "true"])
+def test_nuclear_spin_is_a_literal_string(spin):
+    # 0.5 and "2/4" once loaded as 1/2 through Fraction(str(x))
+    with pytest.raises(ValueError, match="nuclear_spin"):
+        loads_molecule(MINIMAL.replace('"0"', spin))
