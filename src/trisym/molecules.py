@@ -12,7 +12,9 @@ A config file is a flat mapping plus a nested band list:
 
 ``nuclear_spin`` is the literal string "0" or "1/2"; half-integers are never
 floats in interfaces.  ``inversion_splitting_cm1`` is present exactly for
-C3v molecules.  The rotational constants shipped with the package are
+C3v molecules.  Numbers are checked by the one rule in ``classify`` and
+never coerced: a quoted number, a bool or a value out of range is rejected,
+and so is an enum field given its value instead of its member.  The rotational constants shipped with the package are
 placeholder fixture values for exercising the machinery, not measured
 molecular constants.
 """

@@ -19,9 +19,11 @@ so one 4 x 4 table over (lower, upper) class pairs feeds line intensities,
 the partition function and level populations.  One elementwise function
 gives each level's class, energy and degeneracy.  A band is one pass over a
 level table to jmax + 1 that holds both ends of every transition; its lower
-levels (J <= jmax) give the partition function.  Each level's state is built
-once and shared by every line that reaches it.  Overflowing temperatures and
-unpopulated ensembles are rejected.
+levels (J <= jmax) give the partition function.  The state of each level a
+kept line reaches is built once and shared by every line that reaches it.
+Arguments of the wrong type, temperatures whose kT is 0 or whose factors
+overflow, level energies that overflow and unpopulated ensembles are
+rejected.
 
 A line's CSV fields are written once; the JSON rendering types those same
 strings, so both agree on names, order and rounding.
@@ -88,6 +90,10 @@ class ThermalEnsemble:
 
     def __post_init__(self):
         _check_number(self.temperature, "temperature")
+        if KB_CM1 * self.temperature == 0:  # a tiny Fraction rounds to 0.0
+            raise ValueError(
+                f"temperature {self.temperature!r} is too small: kT rounds to 0"
+            )
         jmax = self.jmax
         if isinstance(jmax, bool) or not isinstance(jmax, Integral) or jmax < 0:
             raise ValueError(f"jmax must be an integer >= 0, got {jmax!r}")
@@ -107,7 +113,7 @@ class SpectralLine:
 def rot_energy(molecule: MoleculeSpec, J: int, K: int) -> float:
     """Rigid-rotor energy B J(J+1) - (B - C) K^2 in cm^-1; even in K."""
     _check_jk(J, K)
-    return float(_kernels.rot_energy_array(J, K, molecule.B_cm1, molecule.C_cm1))
+    return float(_levels(molecule, J, K, _NONE)[1])
 
 
 def state_energy(
@@ -196,10 +202,17 @@ def _level_table(molecule: MoleculeSpec, jmax: int):
 def _levels(molecule: MoleculeSpec, J, K, code):
     """Class (see ``classify._level_class``), energy and degeneracy (2J + 1,
     doubled for the +-K pair) of each level, elementwise; the s-component
-    lies half the inversion splitting below the unsplit level, a half above."""
+    lies half the inversion splitting below the unsplit level, a half above.
+    Energies that overflow are rejected."""
     half = 0.5 * (molecule.inversion_splitting_cm1 or 0.0)
-    energy = _kernels.rot_energy_array(J, K, molecule.B_cm1, molecule.C_cm1)
-    energy = energy + np.array([half, 0.0, -half])[code]
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = _kernels.rot_energy_array(J, K, molecule.B_cm1, molecule.C_cm1)
+        energy = energy + np.array([half, 0.0, -half])[code]
+    if not np.isfinite(energy).all():
+        raise ValueError(
+            f"B_cm1 {molecule.B_cm1!r} and C_cm1 {molecule.C_cm1!r} are out of "
+            f"range: level energies up to J = {np.max(J)} not finite"
+        )
     return _level_class(J, K, code == _A), energy, (2 * J + 1) << (K != 0)
 
 
@@ -230,12 +243,19 @@ def _partition_function_cached(
     return g_class, _partition_sum(g_class, cls, deg, boltz, temperature)
 
 
+def _check_inputs(molecule, ensemble, violation):
+    _check_type(molecule, MoleculeSpec, "molecule")
+    _check_type(ensemble, ThermalEnsemble, "ensemble")
+    _check_type(violation, ViolationModel, "violation")
+
+
 def partition_function(
     molecule: MoleculeSpec,
     ensemble: ThermalEnsemble,
     violation: ViolationModel = ViolationModel(),
 ) -> float:
     """Sum of unnormalized level populations up to the ensemble's jmax."""
+    _check_inputs(molecule, ensemble, violation)
     return _partition_function_cached(
         molecule, ensemble.temperature, ensemble.jmax, violation.beta
     )[1]
@@ -248,6 +268,8 @@ def state_population(
     violation: ViolationModel = ViolationModel(),
 ) -> float:
     """Fractional thermal population of one (J, K, species) level."""
+    _check_inputs(molecule, ensemble, violation)
+    _check_type(state, RotationalState, "state")
     T = ensemble.temperature
     g_class, z = _partition_function_cached(molecule, T, ensemble.jmax, violation.beta)
     _check_populated(z, ensemble)
@@ -334,6 +356,7 @@ def line_list(
     thermal weights (the mode in which intensities are exactly linear in
     beta).
     """
+    _check_inputs(molecule, ensemble, violation)
     if isinstance(band, str):
         band = molecule.band(band)
     elif band not in molecule.bands:
@@ -344,9 +367,12 @@ def line_list(
     table, columns, order = _line_columns(
         molecule, band, ensemble, violation, normalization
     )
-    # One state per level, shared by every line that reaches it.
-    labels = zip(*(column.tolist() for column in table))
-    states = [RotationalState(j, k, _SPECIES[c]) for j, k, c in labels]
+    # One state per level a kept line reaches, shared by all its lines.
+    reached = np.zeros(len(table[0]), dtype=bool)
+    reached[columns[2]] = reached[columns[3]] = True
+    labels = zip(reached.tolist(), *(column.tolist() for column in table))
+    states = [RotationalState(j, k, _SPECIES[c]) if hit else None
+              for hit, j, k, c in labels]
     # Sorting one column at a time keeps a single sorted copy alive.
     rows = zip(*(column[order].tolist() for column in columns))
     return [

@@ -3,8 +3,14 @@
 import csv
 import io
 import json
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trisym.cli import build_parser, run
 from trisym.molecules import get_molecule, loads_molecule
@@ -327,3 +333,134 @@ class TestRejectedInput:
         argv = ["linelist", "--molecule", "so3", "--band", "nu2", "--jmax", "2",
                 "--out", out]
         self.expect_error(capsys, argv, f"No such file or directory: {out!r}")
+
+
+class TestOverflowingConstants:
+    """Rotational constants whose level energies overflow, or that overflow
+    a float, exit 1 with one line that names B_cm1."""
+
+    # PyYAML reads an exponent without a sign ("1.0e308") as a string
+    @pytest.mark.parametrize("value", ["1.0e+308", "1" + "0" * 400])
+    @pytest.mark.parametrize("argv", [
+        ["energies", "--jmax", "3", "--format", "csv"],
+        ["linelist", "--band", "nu2", "--jmax", "3"],
+    ], ids=["energies", "linelist"])
+    def test_rejected_with_one_line(self, capsys, tmp_path, argv, value):
+        # once inf and nan rows with RuntimeWarnings and exit 0 (energies),
+        # a diagnostic blaming the temperature (linelist) or a traceback
+        path = tmp_path / "big.yaml"
+        path.write_text(SO3_YAML.replace("B_cm1: 0.35", f"B_cm1: {value}"))
+        code, out, err = invoke(capsys, *argv, "--molecule", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: B_cm1 ") and err.count("\n") == 1, err
+
+
+#: Values for one config number: valid ones, a float whose level energies
+#: overflow, the same float as PyYAML reads it without an exponent sign (a
+#: string), a quoted number, an integer beyond the float range, a bool, NaN.
+YAML_NUMBERS = ["0.35", "2", "498.0", "1.0e+308", "1.0e308", '"0.35"',
+                "1" + "0" * 400, "true", ".nan"]
+
+
+@st.composite
+def config_text(draw):
+    """A valid molecule config, or one with a single value replaced: a
+    number from ``YAML_NUMBERS``, spin 0.5, an unknown band type or a
+    splitting on a D3h molecule."""
+    point_group = draw(st.sampled_from(["D3h", "C3v"]))
+    values = {"nuclear_spin": draw(st.sampled_from(['"0"', '"1/2"'])),
+              "B_cm1": "0.35", "C_cm1": "0.17", "nu2": "498.0", "nu3": "1391.0",
+              "type": "perpendicular"}
+    if point_group == "C3v":
+        values["inversion_splitting_cm1"] = "0.8"
+    bad = draw(st.sampled_from([None, "nuclear_spin", "B_cm1", "C_cm1",
+                                "inversion_splitting_cm1", "nu2", "nu3", "type"]))
+    if bad == "nuclear_spin":
+        values[bad] = "0.5"
+    elif bad == "type":
+        values[bad] = "sideways"
+    elif bad is not None:
+        values[bad] = draw(st.sampled_from(YAML_NUMBERS))
+    scalars = ("nuclear_spin", "B_cm1", "C_cm1", "inversion_splitting_cm1")
+    return "\n".join([
+        "name: toy", f"point_group: {point_group}",
+        *(f"{key}: {values[key]}" for key in scalars if key in values),
+        "bands:",
+        f"  - {{name: nu2, origin_cm1: {values['nu2']}, type: parallel}}",
+        f"  - {{name: nu3, origin_cm1: {values['nu3']}, type: {values['type']}}}",
+    ]) + "\n"
+
+
+def _flag(name, values):
+    """``[name, value]`` half the time, else nothing."""
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+_MOLECULE = st.sampled_from(["so3", "bh3", "nh3", "fixture", "CONFIG", "missing.yaml"])
+_J = st.sampled_from([*map(str, range(-2, 41)), "x", "1.5"])
+_FORMAT = st.sampled_from(["text", "csv", "json"])
+
+
+def any_argv():
+    """argv for any subcommand: valid and invalid flags and values, jmax at
+    most 40.  CONFIG and OUT stand for paths the test fills in."""
+    group = st.tuples(st.just(["group", "--show"]), st.sampled_from(
+        ["table", "matrices", "eigenbasis", "projectors", "bogus"]).map(lambda s: [s]),
+        _flag("--format", st.sampled_from(["text", "json"])))
+    classify = st.tuples(
+        st.just(["classify", "--molecule"]), _MOLECULE.map(lambda m: [m]),
+        _J.map(lambda j: ["--J", j]), _J.map(lambda k: ["--K", k]),
+        _flag("--I", st.sampled_from(["1/2", "3/2", "2"])),
+        _flag("--species", st.sampled_from(["s", "a"])),
+        _flag("--format", st.sampled_from(["text", "json"])))
+    energies = st.tuples(
+        st.just(["energies", "--molecule"]), _MOLECULE.map(lambda m: [m]),
+        _J.map(lambda j: ["--jmax", j]), _flag("--format", _FORMAT))
+    linelist = st.tuples(
+        st.just(["linelist", "--molecule"]), _MOLECULE.map(lambda m: [m]),
+        st.sampled_from(["nu1", "nu2", "nu3", "nu4", "nu9"]).map(
+            lambda band: ["--band", band]),
+        _flag("--jmax", _J),
+        _flag("--temp", st.sampled_from(
+            ["296", "50", "5000", "1e-4", "0", "-5", "nan", "inf", "1e-400", "1e-320"])),
+        _flag("--beta", st.sampled_from(["0", "1e-9", "0.3", "1", "2", "-0.1", "nan"])),
+        _flag("--format", _FORMAT),
+        _flag("--normalization", st.sampled_from(["max", "total", "none"])),
+        _flag("--out", st.sampled_from(["OUT", "NODIR"])))
+    molecules = st.tuples(st.just(["molecules"]), _flag("--dump", _MOLECULE))
+    return st.one_of(group, classify, energies, linelist, molecules).map(
+        lambda parts: [arg for part in parts for arg in part])
+
+
+class TestRandomArgv:
+    """Every CLI run ends in exit 0 with empty stderr and finite output, exit
+    1 with one ``error:`` line, or argparse's exit 2: never a traceback or a
+    numpy warning (pytest turns RuntimeWarnings into errors)."""
+
+    @settings(deadline=None, derandomize=True, max_examples=500)
+    @example(["energies", "--molecule", "CONFIG", "--jmax", "3"],
+             SO3_YAML.replace("0.35", "1.0e+308"))
+    @example(["linelist", "--molecule", "CONFIG", "--band", "nu2"],
+             SO3_YAML.replace("0.35", "1" + "0" * 400))
+    @given(argv=any_argv(), config=config_text())
+    def test_one_of_three_endings(self, argv, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {"CONFIG": f"{tmp}/toy.yaml", "OUT": f"{tmp}/out.txt",
+                     "NODIR": f"{tmp}/nodir/out.txt"}
+            Path(paths["CONFIG"]).write_text(config)
+            argv = [paths.get(arg, arg) for arg in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = run(argv)
+                except SystemExit as exc:  # argparse's usage error
+                    assert exc.code == 2, (argv, err.getvalue())
+                    return
+        out, err = out.getvalue(), err.getvalue()
+        if code == 0:
+            assert err == "", (argv, err)
+            assert not re.search(r"(?i)\b-?(nan|inf|infinity)\b", out), argv
+        else:
+            assert code == 1, (argv, code)
+            assert out == "", argv
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)

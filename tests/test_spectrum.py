@@ -1,6 +1,7 @@
 """Tests for energies, populations and line lists."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -378,6 +379,18 @@ class TestLineList:
         assert calls["states"] <= table_rows
         assert len({id(s) for l in lines for s in (l.lower, l.upper)}) <= table_rows
 
+    def test_states_built_only_for_reached_levels(self, monkeypatch):
+        # once one state per table row: 903 for so3/nu3 at jmax 40, no lines
+        built = []
+        post_init = RotationalState.__post_init__
+        monkeypatch.setattr(RotationalState, "__post_init__",
+                            lambda state: built.append(post_init(state)))
+        assert line_list(SO3, "nu3", ThermalEnsemble(jmax=40)) == []
+        assert built == []
+        lines = line_list(SO3, "nu2", ThermalEnsemble(jmax=40))
+        reached = {(s.J, s.K, s.species) for l in lines for s in (l.lower, l.upper)}
+        assert len(built) == len(reached)
+
     def test_deterministic_output(self):
         beta = ViolationModel(1e-6)
         first = linelist_csv(line_list(BH3, "nu3", self.ENS, beta))
@@ -553,17 +566,20 @@ class TestQuantumLabels:
 
 
 #: Ensemble, band and normalization inputs outside the domain: NaN, +-inf,
-#: 0, negative values, bools, strings, None and a band of another molecule.
+#: 0, negative values, bools, strings, None, a band of another molecule, and
+#: objects of the wrong type for the molecule, ensemble, violation and state.
 OUT_OF_DOMAIN = st.sampled_from([
     math.nan, math.inf, -math.inf, 0, 0.0, -1, -0.5, True, False, "1", "nu9", None,
-    Band("nu9", 100.0, BandType.PARALLEL),
+    Band("nu9", 100.0, BandType.PARALLEL), (296.0, 3), (1, 1), "so3",
+    ThermalEnsemble(), ViolationModel(), RotationalState(1, 1),
 ])
 
 
 class TestEnsembleInputs:
-    """Every ensemble, violation model, band and normalization the line-list
-    functions accept gives finite values; every other one is a ValueError, or
-    a KeyError for a band the molecule does not have."""
+    """Every molecule, ensemble, violation model, state, band and
+    normalization the line-list functions accept gives finite values; every
+    other one is a ValueError, or a KeyError for a band the molecule does
+    not have."""
 
     @settings(deadline=None, derandomize=True, max_examples=300)
     @given(molecule_band=st.sampled_from([SO3, BH3, NH3, FIXTURE]).flatmap(
@@ -576,7 +592,8 @@ class TestEnsembleInputs:
                "normalization": st.sampled_from(["max", "total", "none"]),
            }),
            bad=st.sampled_from([None, "temperature", "jmax", "beta", "normalization",
-                                "band"]),
+                                "band", "molecule", "ensemble", "violation",
+                                "state"]),
            bad_value=OUT_OF_DOMAIN,
            J=st.integers(0, 8), K=st.integers(-8, 8), a_species=st.booleans())
     def test_finite_value_error_or_unknown_band(
@@ -591,6 +608,12 @@ class TestEnsembleInputs:
             violation = ViolationModel(inputs["beta"])
         except ValueError:
             return
+        species = (A if a_species else S) if molecule is NH3 else InversionSpecies.NONE
+        args = dict(molecule=molecule, ensemble=ensemble, violation=violation,
+                    state=RotationalState(J, max(-J, min(K, J)), species))
+        if bad in args:  # an argument of the wrong type
+            args[bad] = bad_value
+        molecule, ensemble, violation, state = args.values()
         try:
             lines = line_list(molecule, band, ensemble, violation, normalization)
         except KeyError:
@@ -601,8 +624,6 @@ class TestEnsembleInputs:
         else:
             values = [x for l in lines for x in (l.frequency, l.intensity)]
             assert all(math.isfinite(x) for x in values)
-        species = (A if a_species else S) if molecule is NH3 else InversionSpecies.NONE
-        state = RotationalState(J, max(-J, min(K, J)), species)
         for fn, args in ((partition_function, ()), (state_population, (state,))):
             try:
                 out = fn(molecule, *args, ensemble, violation)
@@ -646,6 +667,54 @@ class TestLowTemperature:
         # the only level up to jmax 0 is forbidden, so Z = 0 at any temperature
         with pytest.raises(ValueError, match="partition function is 0"):
             state_population(BH3, RotationalState(0, 0), ThermalEnsemble(jmax=0))
+
+
+class TestArgumentTypes:
+    """Arguments of the wrong type are a field-named ValueError, not an
+    AttributeError, and an enum value is not read as another member."""
+
+    @pytest.mark.parametrize("field,call", [
+        ("ensemble", lambda: line_list(SO3, "nu2", None)),
+        ("violation", lambda: line_list(SO3, "nu2", ThermalEnsemble(jmax=3), 0.1)),
+        ("molecule", lambda: line_list(None, "nu2", ThermalEnsemble(jmax=3))),
+        ("ensemble", lambda: partition_function(SO3, (296.0, 3))),
+        ("state", lambda: state_population(SO3, (1, 1), ThermalEnsemble(jmax=3))),
+        # once returned the perpendicular value 0.5
+        ("band_type", lambda: honl_london(1, 0, "R", "parallel")),
+    ], ids=["line_list-ensemble", "line_list-violation", "line_list-molecule",
+            "partition_function-ensemble", "state_population-state",
+            "honl_london-band_type"])
+    def test_wrong_type_rejected(self, field, call):
+        with pytest.raises(ValueError, match=field):
+            call()
+
+
+class TestOverflowingInputs:
+    """A temperature whose kT rounds to 0, and rotational constants whose
+    level energies overflow, are rejected before any numpy warning."""
+
+    def test_temperature_with_zero_kt(self):
+        # once accepted; partition_function then warned before it raised
+        with pytest.raises(ValueError, match="temperature"):
+            ThermalEnsemble(Fraction(1, 10**400), 3)
+
+    @pytest.mark.parametrize("field", ["B_cm1", "C_cm1"])
+    @pytest.mark.parametrize("call", [
+        lambda m: rot_energy(m, 2, 2),
+        lambda m: state_energy(m, 2, 2),
+        lambda m: partition_function(m, ThermalEnsemble(jmax=3)),
+        lambda m: line_list(m, "nu2", ThermalEnsemble(jmax=3)),
+    ], ids=["rot_energy", "state_energy", "partition_function", "line_list"])
+    def test_level_energies_that_overflow(self, field, call):
+        # once inf and nan energies with RuntimeWarnings, or a ValueError
+        # blaming the temperature
+        molecule = dataclasses.replace(SO3, **{field: 1.0e308})
+        with pytest.raises(ValueError, match=r"B_cm1 .* not finite"):
+            call(molecule)
+
+    def test_largest_constants_at_j0(self):
+        molecule = dataclasses.replace(SO3, B_cm1=1.0e308)
+        assert rot_energy(molecule, 0, 0) == 0.0
 
 
 class TestLoopOracle:
