@@ -14,9 +14,9 @@ A config file is a flat mapping plus a nested band list:
 floats in interfaces.  ``inversion_splitting_cm1`` is present exactly for
 C3v molecules.  Numbers are checked by the one rule in ``classify`` and
 never coerced: a quoted number, a bool or a value out of range is rejected,
-and so is an enum field given its value instead of its member.  The rotational constants shipped with the package are
-placeholder fixture values for exercising the machinery, not measured
-molecular constants.
+and so is an enum field given its value instead of its member.  The
+rotational constants shipped with the package are placeholder fixture
+values for exercising the machinery, not measured molecular constants.
 """
 
 from __future__ import annotations
@@ -176,7 +176,8 @@ def loads_molecule(text: str) -> MoleculeSpec:
         C_cm1=_number(data["C_cm1"], "C_cm1"),
         bands=tuple(bands),
         inversion_splitting_cm1=(
-            None if inv is None else _number(inv, "inversion_splitting_cm1", True)
+            None if inv is None
+            else _number(inv, "inversion_splitting_cm1", zero=True)
         ),
     )
 

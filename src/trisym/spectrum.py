@@ -368,8 +368,9 @@ def line_list(
         molecule, band, ensemble, violation, normalization
     )
     # One state per level a kept line reaches, shared by all its lines.
+    _, _, lo, up, _, _ = columns
     reached = np.zeros(len(table[0]), dtype=bool)
-    reached[columns[2]] = reached[columns[3]] = True
+    reached[lo] = reached[up] = True
     labels = zip(reached.tolist(), *(column.tolist() for column in table))
     states = [RotationalState(j, k, _SPECIES[c]) if hit else None
               for hit, j, k, c in labels]

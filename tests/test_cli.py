@@ -403,7 +403,8 @@ _FORMAT = st.sampled_from(["text", "csv", "json"])
 
 def any_argv():
     """argv for any subcommand: valid and invalid flags and values, jmax at
-    most 40.  CONFIG and OUT stand for paths the test fills in."""
+    most 40.  CONFIG, OUT and NODIR stand for paths the test fills in: a
+    drawn config, a writable output and one in a missing directory."""
     group = st.tuples(st.just(["group", "--show"]), st.sampled_from(
         ["table", "matrices", "eigenbasis", "projectors", "bogus"]).map(lambda s: [s]),
         _flag("--format", st.sampled_from(["text", "json"])))
@@ -438,10 +439,10 @@ class TestRandomArgv:
     numpy warning (pytest turns RuntimeWarnings into errors)."""
 
     @settings(deadline=None, derandomize=True, max_examples=500)
-    @example(["energies", "--molecule", "CONFIG", "--jmax", "3"],
-             SO3_YAML.replace("0.35", "1.0e+308"))
-    @example(["linelist", "--molecule", "CONFIG", "--band", "nu2"],
-             SO3_YAML.replace("0.35", "1" + "0" * 400))
+    @example(argv=["energies", "--molecule", "CONFIG", "--jmax", "3"],
+             config=SO3_YAML.replace("0.35", "1.0e+308"))
+    @example(argv=["linelist", "--molecule", "CONFIG", "--band", "nu2"],
+             config=SO3_YAML.replace("0.35", "1" + "0" * 400))
     @given(argv=any_argv(), config=config_text())
     def test_one_of_three_endings(self, argv, config):
         with tempfile.TemporaryDirectory() as tmp:

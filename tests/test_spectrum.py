@@ -381,10 +381,13 @@ class TestLineList:
 
     def test_states_built_only_for_reached_levels(self, monkeypatch):
         # once one state per table row: 903 for so3/nu3 at jmax 40, no lines
-        built = []
-        post_init = RotationalState.__post_init__
-        monkeypatch.setattr(RotationalState, "__post_init__",
-                            lambda state: built.append(post_init(state)))
+        built, post_init = [], RotationalState.__post_init__
+
+        def counted_post_init(state):
+            built.append(state)
+            post_init(state)
+
+        monkeypatch.setattr(RotationalState, "__post_init__", counted_post_init)
         assert line_list(SO3, "nu3", ThermalEnsemble(jmax=40)) == []
         assert built == []
         lines = line_list(SO3, "nu2", ThermalEnsemble(jmax=40))
