@@ -157,8 +157,14 @@ def rotation_phase_axis(
     return phase
 
 
+def _is_integer(x) -> bool:
+    """An exact int, or any other Integral but bool; the exact-int test comes
+    first because it is the common case and the cheapest."""
+    return type(x) is int or (isinstance(x, Integral) and not isinstance(x, bool))
+
+
 def _check_jk(J: int, K: int):
-    if not all(isinstance(x, Integral) and not isinstance(x, bool) for x in (J, K)):
+    if not (_is_integer(J) and _is_integer(K)):
         raise ValueError(f"J and K must be integers, got J={J!r}, K={K!r}")
     if J < 0:
         raise ValueError(f"J must be non-negative, got {J}")

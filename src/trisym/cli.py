@@ -19,12 +19,14 @@ from . import group_algebra as ga
 from .classify import InversionSpecies, classify_state
 from .molecules import PointGroup, dump_molecule, get_molecule, shipped_molecules
 from .spectrum import (
+    _NONE,
     ThermalEnsemble,
     ViolationModel,
+    _levels,
     line_list,
     linelist_csv,
     linelist_json,
-    rot_energy,
+    rot_energy,  # noqa: F401 -- perfbench's cli_cold trace rebinds cli.rot_energy
 )
 
 __all__ = ["main", "run"]
@@ -155,11 +157,9 @@ def _cmd_energies(args) -> int:
     molecule = get_molecule(args.molecule)
     if args.jmax < 0:
         raise ValueError(f"--jmax: must be >= 0, got {args.jmax}")
-    grid = [
-        (J, K, rot_energy(molecule, J, K))
-        for J in range(args.jmax + 1)
-        for K in range(J + 1)
-    ]
+    J, K = np.tril_indices(args.jmax + 1)  # J, then K <= J, in row order
+    _, energy, _ = _levels(molecule, J, K, _NONE)
+    grid = list(zip(J.tolist(), K.tolist(), energy.tolist()))
     if args.format == "json":
         print(
             json.dumps(

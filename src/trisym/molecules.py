@@ -12,9 +12,10 @@ A config file is a flat mapping plus a nested band list:
 
 ``nuclear_spin`` is the literal string "0" or "1/2"; half-integers are never
 floats in interfaces.  ``inversion_splitting_cm1`` is present exactly for
-C3v molecules.  Numbers are checked by the one rule in ``classify`` and
-never coerced: a quoted number, a bool or a value out of range is rejected,
-and so is an enum field given its value instead of its member.  The
+C3v molecules.  Numbers are read as YAML 1.2 reads them (``1e-3`` and
+``1.0e308`` are floats), checked by the one rule in ``classify`` and never
+coerced: a quoted number, a bool or a value out of range is rejected, and so
+is an enum field given its value instead of its member.  The
 rotational constants shipped with the package are placeholder fixture
 values for exercising the machinery, not measured molecular constants.
 """
@@ -22,6 +23,7 @@ values for exercising the machinery, not measured molecular constants.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from importlib import resources
@@ -42,6 +44,25 @@ __all__ = [
     "get_molecule",
     "shipped_molecules",
 ]
+
+
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader with the YAML 1.2 float rule added below."""
+
+
+class _Dumper(yaml.SafeDumper):
+    """PyYAML's safe dumper with the loader's float rule."""
+
+
+# YAML 1.2 floats, which PyYAML's YAML 1.1 rules read as strings when the
+# exponent has no sign or the mantissa no dot.  The dumper shares the rule,
+# so it quotes a string such as "1e3" that the loader would read as a number.
+for _cls in (_Loader, _Dumper):
+    _cls.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+        list("-+0123456789."),
+    )
 
 
 class PointGroup(enum.Enum):
@@ -86,6 +107,7 @@ class MoleculeSpec:
         _check_number(self.B_cm1, "B_cm1")
         _check_number(self.C_cm1, "C_cm1")
         _check_spin(self.nuclear_spin)
+        _check_type(self.nuclear_spin, Fraction, "nuclear_spin")
         if self.point_group is PointGroup.C3V:
             if self.inversion_splitting_cm1 is None:
                 raise ValueError(
@@ -98,6 +120,9 @@ class MoleculeSpec:
             raise ValueError(
                 "inversion_splitting_cm1 is only meaningful for C3v molecules"
             )
+        _check_type(self.bands, tuple, "bands")
+        for i, band in enumerate(self.bands):
+            _check_type(band, Band, f"bands[{i}]")
         if not self.bands:
             raise ValueError("at least one band is required")
         names = [band.name for band in self.bands]
@@ -126,7 +151,7 @@ def _string(value, field: str) -> str:
 def loads_molecule(text: str) -> MoleculeSpec:
     """Parse a molecule config from YAML text."""
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ValueError(f"invalid YAML: {' '.join(str(exc).split())}") from exc
     if not isinstance(data, dict):
@@ -202,7 +227,7 @@ def dump_molecule(spec: MoleculeSpec) -> str:
         {"name": b.name, "origin_cm1": b.origin_cm1, "type": b.band_type.value}
         for b in spec.bands
     ]
-    return yaml.safe_dump(data, sort_keys=False)
+    return yaml.dump(data, Dumper=_Dumper, sort_keys=False)
 
 
 def shipped_molecules() -> list[str]:

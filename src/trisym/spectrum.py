@@ -25,8 +25,10 @@ Arguments of the wrong type, temperatures whose kT is 0 or whose factors
 overflow, level energies that overflow and unpopulated ensembles are
 rejected.
 
-A line's CSV fields are written once; the JSON rendering types those same
-strings, so both agree on names, order and rounding.
+Lines are named tuples built at C level from the sorted columns.  Each CSV
+and JSON row is one ``%`` template, with a state's labels formatted once per
+state; both renderings take their field names from ``CSV_HEADER`` and their
+floats from one ``.10g`` format, so they agree on names, order and rounding.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from numbers import Integral
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -99,8 +103,10 @@ class ThermalEnsemble:
             raise ValueError(f"jmax must be an integer >= 0, got {jmax!r}")
 
 
-@dataclass(frozen=True)
-class SpectralLine:
+class SpectralLine(NamedTuple):
+    """One line of a stick spectrum: an immutable named tuple, built by
+    position or keyword and changed with ``_replace``."""
+
     band: str
     frequency: float
     intensity: float
@@ -324,6 +330,11 @@ def _line_columns(
     keep = (pop != 0) & ~(intensity <= 0) & ~(freq <= 0)
 
     lo, up, freq, intensity = lo[keep], up[keep], freq[keep], intensity[keep]
+    if not np.isfinite(freq).all():  # the origin plus a level difference overflows
+        raise ValueError(
+            f"band {band.name!r}: origin_cm1 {band.origin_cm1!r} is out of range: "
+            f"line frequencies not finite"
+        )
     pair = (cls[lo], cls[up])
     sp, ss = pair_sp[pair], pair_ss[pair]
     if normalization == "total":
@@ -375,11 +386,11 @@ def line_list(
     states = [RotationalState(j, k, _SPECIES[c]) if hit else None
               for hit, j, k, c in labels]
     # Sorting one column at a time keeps a single sorted copy alive.
-    rows = zip(*(column[order].tolist() for column in columns))
-    return [
-        SpectralLine(band.name, f, i, states[lo], states[up], sp, ss)
-        for f, i, lo, up, sp, ss in rows
-    ]
+    freq, intensity, lo, up, sp, ss = (column[order].tolist() for column in columns)
+    lower, upper = map(states.__getitem__, lo), map(states.__getitem__, up)
+    return list(map(SpectralLine._make, zip(
+        repeat(band.name), freq, intensity, lower, upper, sp, ss
+    )))
 
 
 CSV_HEADER = (
@@ -387,31 +398,62 @@ CSV_HEADER = (
     "sp_forbidden,ss_forbidden"
 )
 
-
-def _csv_fields(l: SpectralLine) -> tuple[str, ...]:
-    """The CSV strings of one line, in ``CSV_HEADER`` order; floats at 10
-    significant digits."""
-    return (
-        l.band, f"{l.frequency:.10g}", f"{l.intensity:.10g}",
-        str(l.lower.J), str(l.lower.K), l.lower.species.value,
-        str(l.upper.J), str(l.upper.K), l.upper.species.value,
-        "true" if l.sp_forbidden else "false",
-        "true" if l.ss_forbidden else "false",
-    )
+#: The one float format of both renderings: 10 significant digits.
+_FLOAT = "%.10g"
+#: A CSV row: band, frequency, intensity, the lower and the upper state's
+#: "J,K,species" label, and the SP and SS flags.
+_CSV_ROW = f"%s,{_FLOAT},{_FLOAT},%s,%s,%s,%s"
+#: A JSON row in ``json.dumps(..., indent=2)`` layout, one slot per CSV field.
+_JSON_ROW = "  {\n%s\n  }" % ",\n".join(
+    f'    "{name}": %s' for name in CSV_HEADER.split(",")
+)
 
 
-def linelist_csv(lines: list[SpectralLine]) -> str:
+def _per_state(render):
+    """``render(state)``, computed once per state object.  Entries are keyed
+    by ``id`` and hold their state, so while the cache lives no other state
+    can take a cached state's ``id``."""
+    cache = {}
+
+    def rendered(state):
+        entry = cache.get(id(state))
+        if entry is None:
+            entry = cache[id(state)] = (state, render(state))
+        return entry[1]
+
+    return rendered
+
+
+def _json_number(x: float) -> str:
+    """The JSON number of a float's CSV string; ``json.dumps`` writes the
+    non-finite ones (a string such as 1.797693135e+308 reads as inf)."""
+    number = float(_FLOAT % x)
+    return repr(number) if number - number == 0 else json.dumps(number)
+
+
+def linelist_csv(lines: Iterable[SpectralLine]) -> str:
     """Byte-deterministic CSV rendering, floats at 10 significant digits."""
-    return "\n".join([CSV_HEADER, *(",".join(_csv_fields(l)) for l in lines)]) + "\n"
-
-
-def linelist_json(lines: list[SpectralLine]) -> str:
-    """JSON mirror of the CSV schema: each row's CSV fields, typed (numbers
-    for the floats and for J and K, booleans for the flags)."""
-    fields = CSV_HEADER.split(",")
-    flag = "true".__eq__
-    types = (str, float, float, int, int, str, int, int, str, flag, flag)
-    payload = [
-        {f: t(v) for f, t, v in zip(fields, types, _csv_fields(l))} for l in lines
+    label = _per_state(lambda s: f"{s.J},{s.K},{s.species.value}")
+    rows = [
+        _CSV_ROW % (band, f, i, label(lo), label(up),
+                    "true" if sp else "false", "true" if ss else "false")
+        for band, f, i, lo, up, sp, ss in lines
     ]
-    return json.dumps(payload, indent=2) + "\n"
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
+
+
+def linelist_json(lines: Iterable[SpectralLine]) -> str:
+    """JSON mirror of the CSV schema: each row's CSV fields, typed (numbers
+    for the floats and for J and K, booleans for the flags), laid out as
+    ``json.dumps(rows, indent=2)`` lays them out."""
+    labels = _per_state(lambda s: (s.J, s.K, json.dumps(s.species.value)))
+    band_names = lru_cache(maxsize=None)(json.dumps)
+    rows = [
+        _JSON_ROW % (
+            (band_names(band), _json_number(f), _json_number(i))
+            + labels(lo) + labels(up)
+            + ("true" if sp else "false", "true" if ss else "false")
+        )
+        for band, f, i, lo, up, sp, ss in lines
+    ]
+    return "[\n%s\n]\n" % ",\n".join(rows) if rows else "[]\n"

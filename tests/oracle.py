@@ -18,7 +18,6 @@ trisym.spectrum used before its JSON rows were typed from the CSV fields.
 """
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -405,7 +404,7 @@ def loop_line_list(molecule, band, ensemble, violation, normalization="max"):
         allowed = [l for l in lines if not (l.sp_forbidden or l.ss_forbidden)]
         if allowed:  # without allowed lines there is no reference; keep raw
             scale = max(l.intensity for l in allowed)
-            lines = [replace(l, intensity=l.intensity / scale) for l in lines]
+            lines = [l._replace(intensity=l.intensity / scale) for l in lines]
 
     lines.sort(
         key=lambda l: (

@@ -242,6 +242,13 @@ bands:
   - {name: nu2, origin_cm1: 498.0, type: parallel}
 """
 
+#: Planar spin-1/2 (bh3-like) with finite levels to J = 4 but a nu2 origin
+#: that a level difference of about 1e306 pushes past the float maximum.
+HUGE_ORIGIN_YAML = (
+    SO3_YAML.replace('"0"', '"1/2"').replace("0.35", "1.0e+306")
+    .replace("0.17", "1.0e+306").replace("498.0", "1.79e+308")
+)
+
 
 class TestRejectedInput:
     """Every rejected input exits 1 with a single diagnostic line."""
@@ -278,6 +285,12 @@ class TestRejectedInput:
     def test_band_origin_list(self, capsys, tmp_path):
         argv = self.config(tmp_path, SO3_YAML.replace("498.0", "[1]"))
         self.expect_error(capsys, argv, "origin_cm1")
+
+    def test_band_origin_whose_frequencies_overflow(self, capsys, tmp_path):
+        # once exit 0 with inf frequencies
+        argv = self.config(tmp_path, HUGE_ORIGIN_YAML)
+        self.expect_error(capsys, argv[:-1] + ["3", "--beta", "0.3"],
+                          "origin_cm1 1.79e+308")
 
     def test_duplicate_band_names(self, capsys, tmp_path):
         text = SO3_YAML + "  - {name: nu2, origin_cm1: 600.0, type: parallel}\n"
@@ -366,7 +379,8 @@ YAML_NUMBERS = ["0.35", "2", "498.0", "1.0e+308", "1.0e308", '"0.35"',
 def config_text(draw):
     """A valid molecule config, or one with a single value replaced: a
     number from ``YAML_NUMBERS``, spin 0.5, an unknown band type or a
-    splitting on a D3h molecule."""
+    splitting on a D3h molecule; or rotational constants of 1e306 with a nu2
+    origin whose line frequencies overflow the float range."""
     point_group = draw(st.sampled_from(["D3h", "C3v"]))
     values = {"nuclear_spin": draw(st.sampled_from(['"0"', '"1/2"'])),
               "B_cm1": "0.35", "C_cm1": "0.17", "nu2": "498.0", "nu3": "1391.0",
@@ -374,8 +388,11 @@ def config_text(draw):
     if point_group == "C3v":
         values["inversion_splitting_cm1"] = "0.8"
     bad = draw(st.sampled_from([None, "nuclear_spin", "B_cm1", "C_cm1",
-                                "inversion_splitting_cm1", "nu2", "nu3", "type"]))
-    if bad == "nuclear_spin":
+                                "inversion_splitting_cm1", "nu2", "nu3", "type",
+                                "origin"]))
+    if bad == "origin":
+        values.update(B_cm1="1.0e+306", C_cm1="1.0e+306", nu2="1.79e+308")
+    elif bad == "nuclear_spin":
         values[bad] = "0.5"
     elif bad == "type":
         values[bad] = "sideways"
@@ -443,6 +460,9 @@ class TestRandomArgv:
              config=SO3_YAML.replace("0.35", "1.0e+308"))
     @example(argv=["linelist", "--molecule", "CONFIG", "--band", "nu2"],
              config=SO3_YAML.replace("0.35", "1" + "0" * 400))
+    @example(argv=["linelist", "--molecule", "CONFIG", "--band", "nu2",
+                   "--jmax", "3", "--beta", "0.3"],
+             config=HUGE_ORIGIN_YAML)
     @given(argv=any_argv(), config=config_text())
     def test_one_of_three_endings(self, argv, config):
         with tempfile.TemporaryDirectory() as tmp:

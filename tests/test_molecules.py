@@ -4,7 +4,10 @@ import json
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trisym.classify import RotationalState
 from trisym.molecules import (
@@ -91,6 +94,57 @@ def test_round_trip_all_shipped():
     for name in shipped_molecules():
         spec = get_molecule(name)
         assert loads_molecule(dump_molecule(spec)) == spec
+
+
+_POSITIVE = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
+#: Any text, and names that a YAML reader takes for other types unless quoted.
+_NAMES = st.one_of(st.text(), st.sampled_from(
+    ["1e3", ".5E1", "1.0e308", "-2e-3", "0", "0x1f", "true", "null", "~", ".nan"]))
+_BAND_NAMES = st.lists(_NAMES.filter(lambda n: not set(n) & set(',"\r\n')),
+                       min_size=1, max_size=3, unique=True)
+
+
+@st.composite
+def valid_specs(draw):
+    """Any spec the constructors accept with the number types the loader
+    produces: float constants and origins, a Fraction spin."""
+    c3v = draw(st.booleans())
+    bands = tuple(Band(name, draw(_POSITIVE), draw(st.sampled_from(list(BandType))))
+                  for name in draw(_BAND_NAMES))
+    return MoleculeSpec(
+        name=draw(_NAMES),
+        point_group=PointGroup.C3V if c3v else PointGroup.D3H,
+        nuclear_spin=draw(st.sampled_from([Fraction(0), Fraction(1, 2)])),
+        B_cm1=draw(_POSITIVE),
+        C_cm1=draw(_POSITIVE),
+        bands=bands,
+        inversion_splitting_cm1=(
+            draw(st.floats(min_value=0, allow_infinity=False)) if c3v else None
+        ),
+    )
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(st.one_of(st.sampled_from([get_molecule(n) for n in shipped_molecules()]),
+                 valid_specs()))
+def test_dump_round_trips_every_valid_spec(spec):
+    assert loads_molecule(dump_molecule(spec)) == spec
+
+
+@pytest.mark.parametrize("value,number", [
+    ("1.0e308", 1.0e308), ("1e-3", 1e-3), ("2.5E3", 2500.0), (".5e1", 5.0),
+    ("+1e2", 100.0), ("1.0e+308", 1.0e308),
+])
+def test_yaml_1_2_floats(value, number):
+    # an exponent without a sign or a dot once read as a string and was rejected
+    spec = loads_molecule(MINIMAL.replace("B_cm1: 1.0", f"B_cm1: {value}"))
+    assert spec.B_cm1 == number
+
+
+@pytest.mark.parametrize("value", ['"1e-3"', "'1.0e308'"])
+def test_quoted_exponent_stays_a_string(value):
+    with pytest.raises(ValueError, match="B_cm1 must be a finite number"):
+        loads_molecule(MINIMAL.replace("B_cm1: 1.0", f"B_cm1: {value}"))
 
 
 def test_load_from_path(tmp_path):
@@ -276,3 +330,21 @@ def test_nuclear_spin_is_a_literal_string(spin):
     # 0.5 and "2/4" once loaded as 1/2 through Fraction(str(x))
     with pytest.raises(ValueError, match="nuclear_spin"):
         loads_molecule(MINIMAL.replace('"0"', spin))
+
+
+@pytest.mark.parametrize("bands,field", [
+    ([Band("b", 1.0, BandType.PARALLEL)], "bands"),
+    ((Band("b", 1.0, BandType.PARALLEL), "nu2"), r"bands\[1\]"),
+])
+def test_bands_must_be_a_tuple_of_band(bands, field):
+    # a list once passed, and partition_function then raised a bare
+    # TypeError (unhashable type: 'list') from its cache
+    with pytest.raises(ValueError, match=f"^{field} must be of type"):
+        MoleculeSpec(**dict(SPEC, bands=bands))
+
+
+@pytest.mark.parametrize("spin", [0, 0.0, 0.5, np.float64(0.5)])
+def test_nuclear_spin_must_be_a_fraction(spin):
+    # 0.0 once passed and dumped as '0.0', which loads_molecule rejects
+    with pytest.raises(ValueError, match="^nuclear_spin must be of type Fraction"):
+        MoleculeSpec(**dict(SPEC, nuclear_spin=spin))

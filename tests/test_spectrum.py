@@ -401,8 +401,9 @@ class TestLineList:
         assert first == second
 
 
-EDGE_FLOATS = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf]),
+EDGE_FLOATS = st.one_of(  # the float maximum's 10-digit string reads as inf
+    st.sampled_from([0.0, -0.0, 5e-324, 1e300, sys.float_info.max, math.nan,
+                     math.inf, -math.inf]),
     st.floats(),
 )
 
@@ -452,10 +453,37 @@ class TestSerialization:
             assert rj["sp_forbidden"] == (rc["sp_forbidden"] == "true")
 
     @settings(deadline=None, derandomize=True, max_examples=200)
+    @example([])
     @given(st.lists(hand_built_lines(), max_size=4))
     def test_hand_built_lines_match_loop_serializers(self, lines):
         assert linelist_csv(lines) == loop_linelist_csv(lines)
         assert linelist_json(lines) == loop_linelist_json(lines)
+
+    def test_line_is_an_immutable_named_tuple(self):
+        line = self.LINES[0]
+        assert line == tuple(line)
+        assert SpectralLine(**line._asdict()) == line
+        assert line._replace(intensity=0.5) == (*line[:2], 0.5, *line[3:])
+        with pytest.raises(AttributeError):
+            line.intensity = 0.5
+
+    def test_state_labels_survive_id_reuse(self):
+        # Each line's states are built with it and freed after it, so CPython
+        # hands a freed state's memory, and with it its id, to the next line's
+        # states; labels cached under a bare id(state) would repeat.
+        def fresh_lines():
+            for n in range(300):
+                J = n % 40
+                yield SpectralLine(
+                    "nu2", 100.0 + n, 1.0 / (n + 1),
+                    RotationalState(J, n % (J + 1), (S, A)[n % 2]),
+                    RotationalState(J + 1, -(n % (J + 2)), (A, S)[n % 2]),
+                    n % 3 == 0, n % 5 == 0,
+                )
+
+        lines = list(fresh_lines())
+        assert linelist_csv(fresh_lines()) == loop_linelist_csv(lines)
+        assert linelist_json(fresh_lines()) == loop_linelist_json(lines)
 
 
 class TestEnsembleDomain:
@@ -718,6 +746,18 @@ class TestOverflowingInputs:
     def test_largest_constants_at_j0(self):
         molecule = dataclasses.replace(SO3, B_cm1=1.0e308)
         assert rot_energy(molecule, 0, 0) == 0.0
+
+    @pytest.mark.parametrize("band_type", list(BandType))
+    def test_band_origin_whose_frequencies_overflow(self, band_type):
+        # once lines with inf frequencies: finite levels, an origin near the
+        # float maximum, and a level difference that tips the sum over it
+        molecule = dataclasses.replace(NH3, B_cm1=1e306, C_cm1=1e306, bands=(
+            Band("nu2", 1.79e308, band_type),))
+        with pytest.raises(ValueError, match=(
+                r"^band 'nu2': origin_cm1 1\.79e\+308 is out of range: "
+                r"line frequencies not finite$")):
+            line_list(molecule, "nu2", ThermalEnsemble(jmax=3), ViolationModel(0.5),
+                      normalization="none")
 
 
 class TestLoopOracle:
