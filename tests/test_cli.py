@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from trisym.cli import build_parser, run
 from trisym.molecules import get_molecule, loads_molecule
+from trisym.spectrum import rot_energy
 
 
 def invoke(capsys, *argv):
@@ -100,6 +101,16 @@ class TestEnergies:
         assert grid[(0, 0)] == 0.0
         assert grid[(2, 1)] == 5.5
         assert grid[(2, 2)] == 4.0
+
+    @pytest.mark.parametrize("name", ["so3", "nh3"])
+    def test_grid_is_rot_energy_of_every_level(self, capsys, name):
+        molecule = get_molecule(name)
+        code, out, _ = invoke(
+            capsys, "energies", "--molecule", name, "--jmax", "12", "--format", "csv"
+        )
+        rows = [f"{J},{K},{rot_energy(molecule, J, K):.10g}"
+                for J in range(13) for K in range(J + 1)]
+        assert (code, out) == (0, "\n".join(["J,K,energy_cm1", *rows]) + "\n")
 
     def test_negative_jmax(self, capsys):
         code, _, err = invoke(
