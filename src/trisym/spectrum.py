@@ -19,23 +19,35 @@ so one 4 x 4 table over (lower, upper) class pairs feeds line intensities,
 the partition function and level populations.  One elementwise function
 gives each level's class, energy and degeneracy.  A band is one pass over a
 level table to jmax + 1 that holds both ends of every transition; its lower
-levels (J <= jmax) give the partition function.  The state of each level a
-kept line reaches is built once and shared by every line that reaches it.
-Arguments of the wrong type, temperatures whose kT is 0 or whose factors
-overflow, level energies that overflow and unpopulated ensembles are
-rejected.
+levels (J <= jmax) give the partition function.
 
-Lines are named tuples built at C level from the sorted columns.  Each CSV
-and JSON row is one ``%`` template, with a state's labels formatted once per
-state; both renderings take their field names from ``CSV_HEADER`` and their
-floats from one ``.10g`` format, so they agree on names, order and rounding.
+States are shared per process: one table per point group, in level-table
+order, holds the state of every level a kept line has reached, built once
+when a line first reaches it and shared by every line of every later call.
+The table keeps memory in proportion to the largest jmax seen, about 1.7 MB
+(110 B per level) for nh3 at jmax 120.  ``jmax`` is bounded so that a
+band's level table stays within a 2 GiB budget at a stated 8 KiB per level,
+which also bounds the shared tables.  Arguments of the wrong type,
+temperatures whose kT is 0 or whose factors overflow, level energies that
+overflow and unpopulated ensembles are rejected.
+
+Lines are named tuples built at C level from the sorted columns, with the
+cyclic garbage collector paused: each record holds states, so the collector
+tracks it, and while the list grows it would scan the records built so far
+again and again (about a third of a large call).  Each CSV and JSON row is
+one ``%`` template, with a state's labels formatted once per state; both
+renderings take their field names from ``CSV_HEADER`` and their floats from
+one ``.10g`` format, so they agree on names, order and rounding.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import math
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import repeat
 from numbers import Integral
 from typing import Iterable, NamedTuple
@@ -76,6 +88,27 @@ __all__ = [
 #: Boltzmann constant divided by h*c, in cm^-1 per kelvin.
 KB_CM1 = 0.6950348004
 
+#: Bytes that a line list and its JSON text take per level of the band's
+#: level table: about 6.3 KB measured for nh3/nu3 at jmax 120, where the
+#: table holds about 6 lines per level.
+_BYTES_PER_LEVEL = 8 * 1024
+#: Levels a table may hold: a 2 GiB budget at the estimate above.
+_MAX_LEVELS = 2 * 1024**3 // _BYTES_PER_LEVEL
+#: The largest jmax whose table to jmax + 1 fits: (jmax + 2)(jmax + 3) levels
+#: with two species per (J, K), 509 for 2**18 levels.
+_JMAX_LIMIT = (math.isqrt(4 * _MAX_LEVELS + 1) - 5) // 2
+
+
+def _check_jmax(jmax: int):
+    """Reject a jmax whose level table would exceed the memory budget.  It
+    also bounds the shared state tables, which grow to the largest table."""
+    if jmax > _JMAX_LIMIT:
+        raise ValueError(
+            f"jmax must be at most {_JMAX_LIMIT} (a level table of at most "
+            f"{_MAX_LEVELS} levels at about {_BYTES_PER_LEVEL // 1024} KiB each), "
+            f"got {jmax}"
+        )
+
 
 @dataclass(frozen=True)
 class ViolationModel:
@@ -101,6 +134,7 @@ class ThermalEnsemble:
         jmax = self.jmax
         if isinstance(jmax, bool) or not isinstance(jmax, Integral) or jmax < 0:
             raise ValueError(f"jmax must be an integer >= 0, got {jmax!r}")
+        _check_jmax(jmax)
 
 
 class SpectralLine(NamedTuple):
@@ -114,6 +148,10 @@ class SpectralLine(NamedTuple):
     upper: RotationalState
     sp_forbidden: bool
     ss_forbidden: bool
+
+
+#: ``SpectralLine`` from a tuple of its fields, without ``_make``'s Python frame.
+_new_line = partial(tuple.__new__, SpectralLine)
 
 
 def rot_energy(molecule: MoleculeSpec, J: int, K: int) -> float:
@@ -203,6 +241,35 @@ def _level_table(molecule: MoleculeSpec, jmax: int):
     if molecule.point_group is PointGroup.C3V:
         return np.repeat(J, 2), np.repeat(K, 2), np.tile([_S, _A], len(J))
     return J, K, np.full(len(J), _NONE)
+
+
+#: One state table per point group, in ``_level_table`` order, so that every
+#: table is a prefix of the next larger one.  A row holds its level's state
+#: once a kept line has reached it, else None.  A table grows by rebinding a
+#: longer copy, never in place, so a list a caller holds never changes length.
+_state_tables: dict[PointGroup, list] = {}
+_state_tables_lock = threading.Lock()
+
+
+def _shared_states(molecule: MoleculeSpec, table, lo, up) -> list:
+    """The state table of the molecule's point group, covering ``table``,
+    with a state at each row in ``lo`` and ``up``: built once per process,
+    through the ``RotationalState`` constructor, when a kept line first
+    reaches it."""
+    J, K, code = table
+    reached = np.zeros(len(J), dtype=bool)
+    reached[lo] = reached[up] = True
+    rows = np.flatnonzero(reached)
+    with _state_tables_lock:
+        states = _state_tables.get(molecule.point_group, [])
+        if len(states) < len(J):
+            states = states + [None] * (len(J) - len(states))
+            _state_tables[molecule.point_group] = states
+        new = [row for row in rows.tolist() if states[row] is None]
+        labels = zip(new, J[new].tolist(), K[new].tolist(), code[new].tolist())
+        for row, j, k, c in labels:
+            states[row] = RotationalState(j, k, _SPECIES[c])
+    return states
 
 
 def _levels(molecule: MoleculeSpec, J, K, code):
@@ -378,19 +445,24 @@ def line_list(
     table, columns, order = _line_columns(
         molecule, band, ensemble, violation, normalization
     )
-    # One state per level a kept line reaches, shared by all its lines.
     _, _, lo, up, _, _ = columns
-    reached = np.zeros(len(table[0]), dtype=bool)
-    reached[lo] = reached[up] = True
-    labels = zip(reached.tolist(), *(column.tolist() for column in table))
-    states = [RotationalState(j, k, _SPECIES[c]) if hit else None
-              for hit, j, k, c in labels]
-    # Sorting one column at a time keeps a single sorted copy alive.
-    freq, intensity, lo, up, sp, ss = (column[order].tolist() for column in columns)
-    lower, upper = map(states.__getitem__, lo), map(states.__getitem__, up)
-    return list(map(SpectralLine._make, zip(
-        repeat(band.name), freq, intensity, lower, upper, sp, ss
-    )))
+    # Every record holds states, so the collector tracks each one; left on,
+    # it would scan the growing list again and again while it is built.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        states = _shared_states(molecule, table, lo, up)
+        # Sorting one column at a time keeps a single sorted copy alive.
+        freq, intensity, lo, up, sp, ss = (
+            column[order].tolist() for column in columns
+        )
+        lower, upper = map(states.__getitem__, lo), map(states.__getitem__, up)
+        return list(map(_new_line, zip(
+            repeat(band.name), freq, intensity, lower, upper, sp, ss
+        )))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 CSV_HEADER = (
@@ -403,25 +475,39 @@ _FLOAT = "%.10g"
 #: A CSV row: band, frequency, intensity, the lower and the upper state's
 #: "J,K,species" label, and the SP and SS flags.
 _CSV_ROW = f"%s,{_FLOAT},{_FLOAT},%s,%s,%s,%s"
-#: A JSON row in ``json.dumps(..., indent=2)`` layout, one slot per CSV field.
-_JSON_ROW = "  {\n%s\n  }" % ",\n".join(
-    f'    "{name}": %s' for name in CSV_HEADER.split(",")
+_FIELDS = CSV_HEADER.split(",")
+
+
+def _json_fields(names) -> str:
+    """The ``json.dumps(..., indent=2)`` lines of a row's fields, one ``%s``
+    slot per value."""
+    return ",\n".join(f'    "{name}": %s' for name in names)
+
+
+#: A JSON row in ``json.dumps(..., indent=2)`` layout, one slot per CSV field
+#: except that each state's J, K and species lines fill one slot.
+_JSON_ROW = "  {\n%s,\n%%s,\n%%s,\n%s\n  }" % (
+    _json_fields(_FIELDS[:3]), _json_fields(_FIELDS[9:])
 )
+#: The lower and the upper state's lines of a JSON row.
+_JSON_LOWER, _JSON_UPPER = _json_fields(_FIELDS[3:6]), _json_fields(_FIELDS[6:9])
 
 
 def _per_state(render):
-    """``render(state)``, computed once per state object.  Entries are keyed
-    by ``id`` and hold their state, so while the cache lives no other state
-    can take a cached state's ``id``."""
-    cache = {}
+    """A cache of ``render(state)`` per state object: its ``get``, keyed by
+    ``id(state)``, and the function that renders a state not yet in it.
+    The cache holds every state it renders, so while it lives no other state
+    can take a cached state's ``id``.  It keeps the states in a list and the
+    labels in a dict of ints and strings, so it makes no object per state
+    that the cyclic collector tracks."""
+    labels, held = {}, []
 
-    def rendered(state):
-        entry = cache.get(id(state))
-        if entry is None:
-            entry = cache[id(state)] = (state, render(state))
-        return entry[1]
+    def new(state):
+        held.append(state)
+        label = labels[id(state)] = render(state)
+        return label
 
-    return rendered
+    return labels.get, new
 
 
 def _json_number(x: float) -> str:
@@ -433,9 +519,9 @@ def _json_number(x: float) -> str:
 
 def linelist_csv(lines: Iterable[SpectralLine]) -> str:
     """Byte-deterministic CSV rendering, floats at 10 significant digits."""
-    label = _per_state(lambda s: f"{s.J},{s.K},{s.species.value}")
+    label, new = _per_state(lambda s: f"{s.J},{s.K},{s.species.value}")
     rows = [
-        _CSV_ROW % (band, f, i, label(lo), label(up),
+        _CSV_ROW % (band, f, i, label(id(lo)) or new(lo), label(id(up)) or new(up),
                     "true" if sp else "false", "true" if ss else "false")
         for band, f, i, lo, up, sp, ss in lines
     ]
@@ -446,13 +532,17 @@ def linelist_json(lines: Iterable[SpectralLine]) -> str:
     """JSON mirror of the CSV schema: each row's CSV fields, typed (numbers
     for the floats and for J and K, booleans for the flags), laid out as
     ``json.dumps(rows, indent=2)`` lays them out."""
-    labels = _per_state(lambda s: (s.J, s.K, json.dumps(s.species.value)))
+    def render(template):
+        return lambda s: template % (s.J, s.K, json.dumps(s.species.value))
+
+    lower, new_lower = _per_state(render(_JSON_LOWER))
+    upper, new_upper = _per_state(render(_JSON_UPPER))
     band_names = lru_cache(maxsize=None)(json.dumps)
     rows = [
         _JSON_ROW % (
-            (band_names(band), _json_number(f), _json_number(i))
-            + labels(lo) + labels(up)
-            + ("true" if sp else "false", "true" if ss else "false")
+            band_names(band), _json_number(f), _json_number(i),
+            lower(id(lo)) or new_lower(lo), upper(id(up)) or new_upper(up),
+            "true" if sp else "false", "true" if ss else "false",
         )
         for band, f, i, lo, up, sp, ss in lines
     ]

@@ -8,6 +8,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -118,6 +119,33 @@ class TestEnergies:
         )
         assert code == 1
         assert "--jmax" in err
+
+
+class TestJmaxBound:
+    """A jmax past the memory budget is one line and exit 1, found before any
+    level array is built."""
+
+    @pytest.mark.parametrize("argv", [
+        ["energies", "--molecule", "so3", "--jmax", "100000"],
+        ["linelist", "--molecule", "nh3", "--band", "nu3", "--jmax", "100000"],
+        ["energies", "--molecule", "nh3", "--jmax", "510", "--format", "json"],
+    ])
+    def test_rejected_before_any_array(self, capsys, monkeypatch, argv):
+        def refused(*args):
+            raise AssertionError("a level table was built")
+
+        monkeypatch.setattr(np, "tril_indices", refused)
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: jmax must be at most 509 ")
+        assert err.count("\n") == 1
+
+    def test_largest_accepted_jmax(self, capsys):
+        code, out, _ = invoke(
+            capsys, "energies", "--molecule", "so3", "--jmax", "509", "--format", "csv"
+        )
+        assert code == 0
+        assert out.count("\n") == 1 + 510 * 511 // 2
 
 
 class TestLinelist:

@@ -2,10 +2,13 @@
 
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
 import sys
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -380,25 +383,131 @@ class TestLineList:
         assert len({id(s) for l in lines for s in (l.lower, l.upper)}) <= table_rows
 
     def test_states_built_only_for_reached_levels(self, monkeypatch):
-        # once one state per table row: 903 for so3/nu3 at jmax 40, no lines
+        # once one state per reached level and call, shared by that call only:
+        # a second identical call built every state again
         built, post_init = [], RotationalState.__post_init__
 
         def counted_post_init(state):
-            built.append(state)
+            built.append((state.J, state.K, state.species))
             post_init(state)
 
+        def reached(lines):
+            return {(s.J, s.K, s.species) for l in lines for s in (l.lower, l.upper)}
+
+        monkeypatch.setattr(spectrum, "_state_tables", {})
         monkeypatch.setattr(RotationalState, "__post_init__", counted_post_init)
-        assert line_list(SO3, "nu3", ThermalEnsemble(jmax=40)) == []
+        for _ in range(2):
+            assert line_list(SO3, "nu3", ThermalEnsemble(jmax=40)) == []
         assert built == []
-        lines = line_list(SO3, "nu2", ThermalEnsemble(jmax=40))
-        reached = {(s.J, s.K, s.species) for l in lines for s in (l.lower, l.upper)}
-        assert len(built) == len(reached)
+        small = line_list(SO3, "nu2", ThermalEnsemble(jmax=20))
+        assert sorted(built) == sorted(reached(small))
+        built.clear()
+        assert line_list(SO3, "nu2", ThermalEnsemble(jmax=20)) == small
+        assert built == []
+        large = line_list(SO3, "nu2", ThermalEnsemble(jmax=40))
+        assert sorted(built) == sorted(reached(large) - reached(small))
+        shared = {(s.J, s.K, s.species): s for l in large for s in (l.lower, l.upper)}
+        assert all(shared[s.J, s.K, s.species] is s
+                   for l in small for s in (l.lower, l.upper))
+        monkeypatch.undo()
+        for line in large:
+            for s in (line.lower, line.upper):
+                assert type(s) is RotationalState
+                assert s == RotationalState(s.J, s.K, s.species)
 
     def test_deterministic_output(self):
         beta = ViolationModel(1e-6)
         first = linelist_csv(line_list(BH3, "nu3", self.ENS, beta))
         second = linelist_csv(line_list(BH3, "nu3", self.ENS, beta))
         assert first == second
+
+
+class TestRecordBuild:
+    """States come from one table per point group shared by every call, and
+    records are built with the cyclic collector paused."""
+
+    ARGS = (ThermalEnsemble(jmax=8), ViolationModel(1e-6))
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_restored(self, enabled):
+        before = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert line_list(NH3, "nu3", *self.ARGS)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if before else gc.disable)()
+
+    def test_collector_paused_while_states_are_built(self, monkeypatch):
+        enabled, post_init = [], RotationalState.__post_init__
+
+        def recorded_post_init(state):
+            enabled.append(gc.isenabled())
+            post_init(state)
+
+        monkeypatch.setattr(spectrum, "_state_tables", {})
+        monkeypatch.setattr(RotationalState, "__post_init__", recorded_post_init)
+        assert gc.isenabled()
+        assert line_list(NH3, "nu3", *self.ARGS)
+        assert enabled and not any(enabled)
+        assert gc.isenabled()
+
+    def test_collector_enabled_after_an_exception(self, monkeypatch):
+        def refused(state):
+            raise RuntimeError("refused")
+
+        monkeypatch.setattr(spectrum, "_state_tables", {})
+        monkeypatch.setattr(RotationalState, "__post_init__", refused)
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="refused"):
+            line_list(NH3, "nu3", *self.ARGS)
+        assert gc.isenabled()
+
+    def test_threads_grow_one_table(self, monkeypatch):
+        # each round starts from empty tables, and each thread calls at its
+        # own jmax, so the table grows under the threads that read it
+        jmaxes = (4, 11, 19, 26)
+
+        def csv_at(jmax):
+            return linelist_csv(line_list(
+                NH3, "nu3", ThermalEnsemble(jmax=jmax), ViolationModel(1e-6)
+            ))
+
+        serial = {jmax: csv_at(jmax) for jmax in jmaxes}
+        start, found = threading.Barrier(len(jmaxes)), {jmax: [] for jmax in jmaxes}
+        post_init = RotationalState.__post_init__
+
+        def yielding_post_init(state):  # widen the window in which a table grows
+            time.sleep(0)
+            post_init(state)
+
+        monkeypatch.setattr(RotationalState, "__post_init__", yielding_post_init)
+
+        def work(jmax):
+            start.wait(timeout=60)
+            found[jmax].append(csv_at(jmax))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                monkeypatch.setattr(spectrum, "_state_tables", {})
+                threads = [threading.Thread(target=work, args=(jmax,))
+                           for jmax in jmaxes]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(RotationalState, "__post_init__", post_init)
+        assert found == {jmax: [text] * 10 for jmax, text in serial.items()}
+        table = spectrum._state_tables[NH3.point_group]
+        J, K, code = spectrum._level_table(NH3, max(jmaxes) + 1)
+        assert len(table) == len(J)
+        for state, j, k, c in zip(table, J.tolist(), K.tolist(), code.tolist()):
+            assert state is None or state == RotationalState(j, k, spectrum._SPECIES[c])
 
 
 EDGE_FLOATS = st.one_of(  # the float maximum's 10-digit string reads as inf
@@ -495,6 +604,20 @@ class TestEnsembleDomain:
     @pytest.mark.parametrize("value", [2.5, 3.0, "3"])
     def test_jmax_must_be_an_integer(self, value):
         with pytest.raises(ValueError, match="jmax"):
+            ThermalEnsemble(jmax=value)
+
+    def test_jmax_bound_follows_from_the_memory_budget(self):
+        limit, per_level = spectrum._JMAX_LIMIT, spectrum._BYTES_PER_LEVEL
+        # two species per (J, K) in the table to jmax + 1
+        assert (limit + 2) * (limit + 3) * per_level <= 2 * 1024**3
+        assert (limit + 3) * (limit + 4) * per_level > 2 * 1024**3
+        assert limit >= 200
+        assert ThermalEnsemble(jmax=limit).jmax == limit
+
+    @pytest.mark.parametrize("value", [
+        spectrum._JMAX_LIMIT + 1, 100_000, 10**400, np.int64(2**62)])
+    def test_jmax_over_the_bound_rejected(self, value):
+        with pytest.raises(ValueError, match=r"jmax must be at most \d+ .*, got"):
             ThermalEnsemble(jmax=value)
 
     def test_numpy_integer_jmax_accepted(self):
