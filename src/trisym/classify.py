@@ -132,8 +132,9 @@ def rotation_phase_inplane(K: int, epsilon: int) -> complex:
 
     Equals exp(i epsilon 2pi K / 3), evaluated exactly from K mod 3.
     """
-    if epsilon not in (1, -1):
-        raise ValueError(f"epsilon must be +-1, got {epsilon}")
+    if not _is_integer(K):
+        raise ValueError(f"K must be an integer, got {K!r}")
+    _check_sign(epsilon, "epsilon")
     residue = (epsilon * K) % 3
     if residue == 0:
         return 1.0 + 0.0j
@@ -149,8 +150,10 @@ def rotation_phase_axis(
     inversion-antisymmetric species (the physical exchange there is the
     rotation combined with spatial inversion).
     """
-    if epsilon not in (1, -1):
-        raise ValueError(f"epsilon must be +-1, got {epsilon}")
+    if not _is_integer(J):
+        raise ValueError(f"J must be an integer, got {J!r}")
+    _check_sign(epsilon, "epsilon")
+    _check_type(species, InversionSpecies, "species")
     phase = complex(1.0 if J % 2 == 0 else -1.0)
     if species is InversionSpecies.A:
         phase = -phase
@@ -161,6 +164,13 @@ def _is_integer(x) -> bool:
     """An exact int, or any other Integral but bool; the exact-int test comes
     first because it is the common case and the cheapest."""
     return type(x) is int or (isinstance(x, Integral) and not isinstance(x, bool))
+
+
+def _check_sign(value, field: str):
+    """Reject anything but the integer +1 or -1: a bool or a float is not a
+    sign here, though True == 1 and 1.0 == 1."""
+    if not (_is_integer(value) and value in (1, -1)):
+        raise ValueError(f"{field} must be the integer +1 or -1, got {value!r}")
 
 
 def _check_jk(J: int, K: int):
@@ -426,9 +436,14 @@ def spin_statistical_weight(
     Totally symmetric states for spin-0 (bosonic) nuclei, totally
     antisymmetric for spin-1/2 (fermionic) ones.  Zero means the level is
     completely forbidden under SP plus spin-statistics.  Pass either a
-    molecule spec or an explicit ``nuclear_spin``.
+    molecule spec or an explicit ``nuclear_spin``, not both.
     """
     if molecule is not None:
+        from .molecules import MoleculeSpec  # molecules imports this module
+
+        _check_type(molecule, MoleculeSpec, "molecule")
+        if nuclear_spin is not None:
+            raise ValueError("pass either molecule or nuclear_spin, not both")
         nuclear_spin = molecule.nuclear_spin
     if nuclear_spin is None:
         raise ValueError("either molecule or nuclear_spin is required")

@@ -27,6 +27,7 @@ from .spectrum import (
     line_list,
     linelist_csv,
     linelist_json,
+    linelist_text,
     rot_energy,  # noqa: F401 -- perfbench's cli_cold trace rebinds cli.rot_energy
 )
 
@@ -186,20 +187,8 @@ def _cmd_linelist(args) -> int:
         ViolationModel(beta=args.beta),
         normalization=args.normalization,
     )
-    if args.format == "json":
-        text = linelist_json(lines)
-    elif args.format == "csv":
-        text = linelist_csv(lines)
-    else:
-        rows = [
-            f"{l.frequency:12.4f} cm-1  I={l.intensity:.4e}  "
-            f"J{l.lower.J} K{l.lower.K} {l.lower.species.value} -> "
-            f"J{l.upper.J} K{l.upper.K} {l.upper.species.value}"
-            + ("  [SP]" if l.sp_forbidden else "")
-            + ("  [SS]" if l.ss_forbidden else "")
-            for l in lines
-        ]
-        text = "\n".join(rows) + ("\n" if rows else "")
+    writer = {"json": linelist_json, "csv": linelist_csv, "text": linelist_text}
+    text = writer[args.format](lines)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -34,10 +34,10 @@ overflow and unpopulated ensembles are rejected.
 Lines are named tuples built at C level from the sorted columns, with the
 cyclic garbage collector paused: each record holds states, so the collector
 tracks it, and while the list grows it would scan the records built so far
-again and again (about a third of a large call).  Each CSV and JSON row is
-one ``%`` template, with a state's labels formatted once per state; both
-renderings take their field names from ``CSV_HEADER`` and their floats from
-one ``.10g`` format, so they agree on names, order and rounding.
+again and again (about a third of a large call).  Each CSV, JSON and text
+row is one ``%`` template filled straight from the line and its two states;
+CSV and JSON take their field names from ``CSV_HEADER`` and their floats
+from one ``.10g`` format, so they agree on names, order and rounding.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from .classify import (
     RotationalState,
     _check_jk,
     _check_number,
+    _check_sign,
     _check_type,
     _level_class,
     _required_sector,
@@ -82,6 +83,7 @@ __all__ = [
     "line_list",
     "linelist_csv",
     "linelist_json",
+    "linelist_text",
     "CSV_HEADER",
 ]
 
@@ -185,8 +187,7 @@ def honl_london(
     _check_type(band_type, BandType, "band_type")
     if J_lower == 0 and branch != "R":
         raise ValueError("J = 0 admits only the R branch")
-    if delta_k not in (1, -1):
-        raise ValueError(f"delta_k must be +-1, got {delta_k}")
+    _check_sign(delta_k, "delta_k")
     dj = {"P": -1, "Q": 0, "R": 1}[branch]
     parallel = band_type is BandType.PARALLEL
     out = _kernels.honl_london_array(
@@ -472,42 +473,17 @@ CSV_HEADER = (
 
 #: The one float format of both renderings: 10 significant digits.
 _FLOAT = "%.10g"
-#: A CSV row: band, frequency, intensity, the lower and the upper state's
-#: "J,K,species" label, and the SP and SS flags.
-_CSV_ROW = f"%s,{_FLOAT},{_FLOAT},%s,%s,%s,%s"
-_FIELDS = CSV_HEADER.split(",")
-
-
-def _json_fields(names) -> str:
-    """The ``json.dumps(..., indent=2)`` lines of a row's fields, one ``%s``
-    slot per value."""
-    return ",\n".join(f'    "{name}": %s' for name in names)
-
-
-#: A JSON row in ``json.dumps(..., indent=2)`` layout, one slot per CSV field
-#: except that each state's J, K and species lines fill one slot.
-_JSON_ROW = "  {\n%s,\n%%s,\n%%s,\n%s\n  }" % (
-    _json_fields(_FIELDS[:3]), _json_fields(_FIELDS[9:])
+#: A CSV row, one slot per ``CSV_HEADER`` field.
+_CSV_ROW = f"%s,{_FLOAT},{_FLOAT},%s,%s,%s,%s,%s,%s,%s,%s"
+#: A JSON row in ``json.dumps(..., indent=2)`` layout, one slot per
+#: ``CSV_HEADER`` field; the species slots are quoted, the band and the
+#: floats are filled in as JSON text.
+_JSON_ROW = "  {\n%s\n  }" % ",\n".join(
+    f'    "{name}": ' + ('"%s"' if name.startswith("species") else "%s")
+    for name in CSV_HEADER.split(",")
 )
-#: The lower and the upper state's lines of a JSON row.
-_JSON_LOWER, _JSON_UPPER = _json_fields(_FIELDS[3:6]), _json_fields(_FIELDS[6:9])
-
-
-def _per_state(render):
-    """A cache of ``render(state)`` per state object: its ``get``, keyed by
-    ``id(state)``, and the function that renders a state not yet in it.
-    The cache holds every state it renders, so while it lives no other state
-    can take a cached state's ``id``.  It keeps the states in a list and the
-    labels in a dict of ints and strings, so it makes no object per state
-    that the cyclic collector tracks."""
-    labels, held = {}, []
-
-    def new(state):
-        held.append(state)
-        label = labels[id(state)] = render(state)
-        return label
-
-    return labels.get, new
+#: A text row: frequency, intensity, both states and the forbidden tags.
+_TEXT_ROW = "%12.4f cm-1  I=%.4e  J%s K%s %s -> J%s K%s %s%s%s"
 
 
 def _json_number(x: float) -> str:
@@ -517,11 +493,15 @@ def _json_number(x: float) -> str:
     return repr(number) if number - number == 0 else json.dumps(number)
 
 
+# The writers read ``species._value_``, the enum's documented sunder
+# attribute: ``.value`` is a Python-level property, about 15% of a large CSV.
+
+
 def linelist_csv(lines: Iterable[SpectralLine]) -> str:
     """Byte-deterministic CSV rendering, floats at 10 significant digits."""
-    label, new = _per_state(lambda s: f"{s.J},{s.K},{s.species.value}")
     rows = [
-        _CSV_ROW % (band, f, i, label(id(lo)) or new(lo), label(id(up)) or new(up),
+        _CSV_ROW % (band, f, i, lo.J, lo.K, lo.species._value_,
+                    up.J, up.K, up.species._value_,
                     "true" if sp else "false", "true" if ss else "false")
         for band, f, i, lo, up, sp, ss in lines
     ]
@@ -532,18 +512,25 @@ def linelist_json(lines: Iterable[SpectralLine]) -> str:
     """JSON mirror of the CSV schema: each row's CSV fields, typed (numbers
     for the floats and for J and K, booleans for the flags), laid out as
     ``json.dumps(rows, indent=2)`` lays them out."""
-    def render(template):
-        return lambda s: template % (s.J, s.K, json.dumps(s.species.value))
-
-    lower, new_lower = _per_state(render(_JSON_LOWER))
-    upper, new_upper = _per_state(render(_JSON_UPPER))
     band_names = lru_cache(maxsize=None)(json.dumps)
     rows = [
         _JSON_ROW % (
             band_names(band), _json_number(f), _json_number(i),
-            lower(id(lo)) or new_lower(lo), upper(id(up)) or new_upper(up),
+            lo.J, lo.K, lo.species._value_, up.J, up.K, up.species._value_,
             "true" if sp else "false", "true" if ss else "false",
         )
         for band, f, i, lo, up, sp, ss in lines
     ]
     return "[\n%s\n]\n" % ",\n".join(rows) if rows else "[]\n"
+
+
+def linelist_text(lines: Iterable[SpectralLine]) -> str:
+    """One line per row: frequency, intensity, the lower and the upper
+    state, and an [SP] or [SS] tag for each rule that forbids the line."""
+    rows = [
+        _TEXT_ROW % (f, i, lo.J, lo.K, lo.species._value_,
+                     up.J, up.K, up.species._value_,
+                     "  [SP]" if sp else "", "  [SS]" if ss else "")
+        for _, f, i, lo, up, sp, ss in lines
+    ]
+    return "\n".join(rows) + ("\n" if rows else "")

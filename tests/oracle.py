@@ -14,7 +14,9 @@ statistical weight over a set of sectors and its own inversion offsets and
 degeneracies; of trisym it shares only the level-class helpers and the
 public classifier functions, which the classifier oracles check, and the
 numeric kernels.  The loop serializers are the CSV and JSON writers that
-trisym.spectrum used before its JSON rows were typed from the CSV fields.
+trisym.spectrum used before its JSON rows were typed from the CSV fields,
+and the f-string text writer that trisym.cli used before the text rows
+became a template in trisym.spectrum.
 """
 
 import json
@@ -421,7 +423,8 @@ def loop_line_list(molecule, band, ensemble, violation, normalization="max"):
 
 # ---------------------------------------------------------------------------
 # Loop serializers: the CSV and JSON writers that trisym.spectrum used before
-# both were derived from one per-line record of CSV fields.
+# both were derived from one per-line record of CSV fields, and the text
+# writer that trisym.cli used before it moved into trisym.spectrum.
 # ---------------------------------------------------------------------------
 
 
@@ -466,3 +469,16 @@ def loop_linelist_json(lines: list[SpectralLine]) -> str:
         for l in lines
     ]
     return json.dumps(payload, indent=2) + "\n"
+
+
+def loop_linelist_text(lines: list[SpectralLine]) -> str:
+    """One line per row, as ``trisym linelist --format text`` printed it."""
+    rows = [
+        f"{l.frequency:12.4f} cm-1  I={l.intensity:.4e}  "
+        f"J{l.lower.J} K{l.lower.K} {l.lower.species.value} -> "
+        f"J{l.upper.J} K{l.upper.K} {l.upper.species.value}"
+        + ("  [SP]" if l.sp_forbidden else "")
+        + ("  [SS]" if l.ss_forbidden else "")
+        for l in lines
+    ]
+    return "\n".join(rows) + ("\n" if rows else "")

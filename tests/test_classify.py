@@ -75,6 +75,28 @@ class TestPhaseRules:
         with pytest.raises(ValueError):
             rotation_phase_axis(1, 0)
 
+    # each once returned a phase: NaN gave LAMBDA_MINUS, "a" the s-species -1
+    @pytest.mark.parametrize("call,field", [
+        (lambda: rotation_phase_inplane(float("nan"), 1), "K"),
+        (lambda: rotation_phase_inplane(1.5, 1), "K"),
+        (lambda: rotation_phase_inplane(1, True), "epsilon"),
+        (lambda: rotation_phase_inplane(1, 1.0), "epsilon"),
+        (lambda: rotation_phase_axis(1.5, 1), "J"),
+        (lambda: rotation_phase_axis(float("nan"), 1), "J"),
+        (lambda: rotation_phase_axis(1, True), "epsilon"),
+        (lambda: rotation_phase_axis(1, -1.0), "epsilon"),
+        (lambda: rotation_phase_axis(1, 1, "a"), "species"),
+    ], ids=["inplane-nan-K", "inplane-half-K", "inplane-bool-eps",
+            "inplane-float-eps", "axis-half-J", "axis-nan-J", "axis-bool-eps",
+            "axis-float-eps", "axis-species-str"])
+    def test_bad_arguments_rejected(self, call, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        assert rotation_phase_inplane(np.int64(1), np.int64(-1)) == LAMBDA_MINUS
+        assert rotation_phase_axis(np.int64(3), np.int64(1), InversionSpecies.A) == 1
+
 
 class TestSpin0Planar:
     """Spin-0 planar rules: only K = 3q levels survive, K = 0 needs even J."""
@@ -451,6 +473,19 @@ class TestStatisticalWeights:
     def test_requires_spin_information(self):
         with pytest.raises(ValueError):
             spin_statistical_weight(1, 1)
+
+    # a str or an int once raised a bare AttributeError
+    @pytest.mark.parametrize("molecule", ["so3", 5, Fraction(1, 2)])
+    def test_molecule_type_checked(self, molecule):
+        with pytest.raises(ValueError, match="^molecule must be of type MoleculeSpec"):
+            spin_statistical_weight(1, 0, molecule)
+
+    def test_molecule_and_spin_not_both(self):
+        # the spin was once ignored: so3's spin-0 weight 0 came back
+        from trisym.molecules import get_molecule
+
+        with pytest.raises(ValueError, match="not both"):
+            spin_statistical_weight(1, 0, get_molecule("so3"), nuclear_spin=SPIN_HALF)
 
     def test_rejects_unsupported_spin(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from oracle import (
     loop_line_list,
     loop_linelist_csv,
     loop_linelist_json,
+    loop_linelist_text,
     loop_partition_function,
     loop_state_population,
 )
@@ -51,6 +52,7 @@ from trisym.spectrum import (
     line_list,
     linelist_csv,
     linelist_json,
+    linelist_text,
     partition_function,
     rot_energy,
     state_energy,
@@ -131,6 +133,13 @@ class TestHonlLondon:
             honl_london(1, 0, "X", BandType.PARALLEL)
         with pytest.raises(ValueError):
             honl_london(1, 0, "R", BandType.PERPENDICULAR, delta_k=0)
+
+    # a bool or a float once passed because True == 1 and 1.0 == 1
+    @pytest.mark.parametrize("delta_k", [True, False, 1.0, -1.0, np.float64(1)])
+    @pytest.mark.parametrize("band_type", list(BandType))
+    def test_delta_k_must_be_an_integer_sign(self, delta_k, band_type):
+        with pytest.raises(ValueError, match="^delta_k must be the integer"):
+            honl_london(1, 0, "R", band_type, delta_k=delta_k)
         with pytest.raises(ValueError):
             honl_london(1, 2, "R", BandType.PARALLEL)
 
@@ -567,6 +576,7 @@ class TestSerialization:
     def test_hand_built_lines_match_loop_serializers(self, lines):
         assert linelist_csv(lines) == loop_linelist_csv(lines)
         assert linelist_json(lines) == loop_linelist_json(lines)
+        assert linelist_text(lines) == loop_linelist_text(lines)
 
     def test_line_is_an_immutable_named_tuple(self):
         line = self.LINES[0]
@@ -906,6 +916,12 @@ class TestLoopOracle:
         assert partition_function(mol, ens, violation) == (
             loop_partition_function(mol, ens, violation)
         )
+
+    @pytest.mark.parametrize("name,band,beta", sorted({c[:3] for c in CASES}))
+    def test_text_matches_loop_writer(self, name, band, beta):
+        lines = line_list(get_molecule(name), band, ThermalEnsemble(jmax=25),
+                          ViolationModel(beta))
+        assert linelist_text(lines) == loop_linelist_text(lines)
 
     @pytest.mark.parametrize("name", shipped_molecules())
     @pytest.mark.parametrize("beta", [0.0, 1e-9, 0.3])
