@@ -26,6 +26,7 @@ import enum
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from numbers import Integral, Real
 
 import numpy as np
@@ -109,6 +110,14 @@ class RotationalState:
         _check_jk(self.J, self.K)
         _check_type(self.species, InversionSpecies, "species")
         _check_i(self.I)
+
+    @cached_property
+    def _csv_label(self) -> str:
+        """The state's ``J,K,species`` CSV fields, formatted on first use and
+        kept in the instance: not a field, so ``==``, ``hash`` and ``repr``
+        ignore it.  ``species._value_`` is the enum's sunder attribute;
+        ``.value`` is a Python-level property."""
+        return "%s,%s,%s" % (self.J, self.K, self.species._value_)
 
 
 @dataclass(frozen=True)

@@ -24,20 +24,26 @@ levels (J <= jmax) give the partition function.
 States are shared per process: one table per point group, in level-table
 order, holds the state of every level a kept line has reached, built once
 when a line first reaches it and shared by every line of every later call.
-The table keeps memory in proportion to the largest jmax seen, about 1.7 MB
-(110 B per level) for nh3 at jmax 120.  ``jmax`` is bounded so that a
-band's level table stays within a 2 GiB budget at a stated 8 KiB per level,
-which also bounds the shared tables.  Arguments of the wrong type,
-temperatures whose kT is 0 or whose factors overflow, level energies that
-overflow and unpopulated ensembles are rejected.
+The table is a numpy object array, so a call gathers its lines' states by
+row in C.  It keeps memory in proportion to the largest jmax seen, about
+1.7 MB (110 B per level) for nh3 at jmax 120, and 3.5 MB (230 B per level)
+once CSV has been written from every state, which keeps its CSV label.
+``jmax`` is bounded so that a band's level table stays within a 2 GiB
+budget at a stated 8 KiB per level, which also bounds the shared tables.
+Arguments of the wrong type, temperatures whose kT is 0 or whose factors
+overflow, level energies that overflow and unpopulated ensembles are
+rejected.
 
-Lines are named tuples built at C level from the sorted columns, with the
-cyclic garbage collector paused: each record holds states, so the collector
-tracks it, and while the list grows it would scan the records built so far
-again and again (about a third of a large call).  Each CSV, JSON and text
-row is one ``%`` template filled straight from the line and its two states;
-CSV and JSON take their field names from ``CSV_HEADER`` and their floats
-from one ``.10g`` format, so they agree on names, order and rounding.
+Lines are sorted by frequency, ties broken by their labels packed into one
+integer key.  They are named tuples built at C level from the sorted
+columns, with the cyclic garbage collector paused: each record holds states,
+so the collector tracks it, and while the list grows it would scan the
+records built so far again and again (about a third of a large call).  Each
+CSV, JSON and text row is one ``%`` template filled straight from the line
+and its two states; a CSV row takes each state's ``J,K,species`` fields as
+one label that the state formats once and keeps.  CSV and JSON take their
+field names from ``CSV_HEADER`` and their floats from one ``.10g`` format,
+so they agree on names, order and rounding.
 """
 
 from __future__ import annotations
@@ -245,14 +251,17 @@ def _level_table(molecule: MoleculeSpec, jmax: int):
 
 
 #: One state table per point group, in ``_level_table`` order, so that every
-#: table is a prefix of the next larger one.  A row holds its level's state
-#: once a kept line has reached it, else None.  A table grows by rebinding a
-#: longer copy, never in place, so a list a caller holds never changes length.
-_state_tables: dict[PointGroup, list] = {}
+#: table is a prefix of the next larger one.  A table is a numpy object array,
+#: so that a line list gathers its states by index in C.  A row holds its
+#: level's state once a kept line has reached it, else None.  A table grows by
+#: rebinding a longer copy, never in place, so an array a caller holds never
+#: changes length.
+_state_tables: dict[PointGroup, np.ndarray] = {}
 _state_tables_lock = threading.Lock()
+_NO_STATES = np.empty(0, dtype=object)
 
 
-def _shared_states(molecule: MoleculeSpec, table, lo, up) -> list:
+def _shared_states(molecule: MoleculeSpec, table, lo, up) -> np.ndarray:
     """The state table of the molecule's point group, covering ``table``,
     with a state at each row in ``lo`` and ``up``: built once per process,
     through the ``RotationalState`` constructor, when a kept line first
@@ -262,11 +271,13 @@ def _shared_states(molecule: MoleculeSpec, table, lo, up) -> list:
     reached[lo] = reached[up] = True
     rows = np.flatnonzero(reached)
     with _state_tables_lock:
-        states = _state_tables.get(molecule.point_group, [])
+        states = _state_tables.get(molecule.point_group, _NO_STATES)
         if len(states) < len(J):
-            states = states + [None] * (len(J) - len(states))
-            _state_tables[molecule.point_group] = states
-        new = [row for row in rows.tolist() if states[row] is None]
+            grown = np.full(len(J), None, dtype=object)
+            grown[:len(states)] = states
+            states = _state_tables[molecule.point_group] = grown
+        found = zip(rows.tolist(), states[rows].tolist())
+        new = [row for row, state in found if state is None]
         labels = zip(new, J[new].tolist(), K[new].tolist(), code[new].tolist())
         for row, j, k, c in labels:
             states[row] = RotationalState(j, k, _SPECIES[c])
@@ -413,8 +424,21 @@ def _line_columns(
             intensity = intensity / intensity[allowed].max()
     _check_finite(intensity, T, "line intensities")
 
-    order = np.lexsort((K[up], J[up], code[lo], K[lo], J[lo], freq))
+    order = _line_order(freq, J[lo], K[lo], code[lo], J[up], K[up])
     return table, (freq, intensity, lo, up, sp, ss), order
+
+
+def _line_order(freq, J_lo, K_lo, code_lo, J_up, K_up):
+    """The order that sorts lines by frequency, then by J, K and species
+    code of the lower level, then by J and K of the upper one.  The five
+    labels are packed into one int64 key in the same order, each J and K
+    below ``_JMAX_LIMIT + 2`` (an upper J reaches jmax + 1), so a two-key
+    sort gives the same order as the six-key one (about half the time)."""
+    n = _JMAX_LIMIT + 2
+    key = J_lo.astype(np.int64)
+    for label, base in ((K_lo, n), (code_lo, 3), (J_up, n), (K_up, n)):
+        key = key * base + label
+    return np.lexsort((key, freq))
 
 
 def line_list(
@@ -446,18 +470,19 @@ def line_list(
     table, columns, order = _line_columns(
         molecule, band, ensemble, violation, normalization
     )
-    _, _, lo, up, _, _ = columns
+    freq, intensity, lo, up, sp, ss = columns
     # Every record holds states, so the collector tracks each one; left on,
     # it would scan the growing list again and again while it is built.
     enabled = gc.isenabled()
     gc.disable()
     try:
         states = _shared_states(molecule, table, lo, up)
-        # Sorting one column at a time keeps a single sorted copy alive.
-        freq, intensity, lo, up, sp, ss = (
-            column[order].tolist() for column in columns
+        # Sorting one column at a time keeps a single sorted copy alive; the
+        # states of each line's rows are gathered from the table in C.
+        freq, intensity, sp, ss = (
+            column[order].tolist() for column in (freq, intensity, sp, ss)
         )
-        lower, upper = map(states.__getitem__, lo), map(states.__getitem__, up)
+        lower, upper = (states[rows[order]].tolist() for rows in (lo, up))
         return list(map(_new_line, zip(
             repeat(band.name), freq, intensity, lower, upper, sp, ss
         )))
@@ -473,8 +498,9 @@ CSV_HEADER = (
 
 #: The one float format of both renderings: 10 significant digits.
 _FLOAT = "%.10g"
-#: A CSV row, one slot per ``CSV_HEADER`` field.
-_CSV_ROW = f"%s,{_FLOAT},{_FLOAT},%s,%s,%s,%s,%s,%s,%s,%s"
+#: A CSV row: the band, the two floats, each state's ``J,K,species`` fields
+#: as one label (``RotationalState._csv_label``) and the two flags.
+_CSV_ROW = f"%s,{_FLOAT},{_FLOAT},%s,%s,%s,%s"
 #: A JSON row in ``json.dumps(..., indent=2)`` layout, one slot per
 #: ``CSV_HEADER`` field; the species slots are quoted, the band and the
 #: floats are filled in as JSON text.
@@ -500,8 +526,7 @@ def _json_number(x: float) -> str:
 def linelist_csv(lines: Iterable[SpectralLine]) -> str:
     """Byte-deterministic CSV rendering, floats at 10 significant digits."""
     rows = [
-        _CSV_ROW % (band, f, i, lo.J, lo.K, lo.species._value_,
-                    up.J, up.K, up.species._value_,
+        _CSV_ROW % (band, f, i, lo._csv_label, up._csv_label,
                     "true" if sp else "false", "true" if ss else "false")
         for band, f, i, lo, up, sp, ss in lines
     ]

@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import math
+import pickle
 import sys
 import threading
 import time
@@ -424,6 +425,30 @@ class TestLineList:
                 assert type(s) is RotationalState
                 assert s == RotationalState(s.J, s.K, s.species)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_packed_order_matches_six_keys(self, seed):
+        # labels up to the largest upper J any accepted jmax reaches, drawn
+        # from the extremes on even seeds so that every key ties often
+        rng = np.random.default_rng(seed)
+        top, n = spectrum._JMAX_LIMIT + 1, 5000
+
+        def draw_j():
+            if seed % 2:
+                return rng.integers(0, top + 1, n)
+            return rng.choice([0, 1, top - 1, top], n)
+
+        def draw_k(J):
+            k = rng.integers(0, J + 1)
+            return k if seed % 2 else np.where(rng.random(n) < 0.5, J, k)
+
+        J_lo, J_up = draw_j(), draw_j()
+        K_lo, K_up = draw_k(J_lo), draw_k(J_up)
+        code_lo = rng.integers(0, 3, n)
+        freq = rng.choice([100.0, 100.5, 2000.0], n)
+        six = np.lexsort((K_up, J_up, code_lo, K_lo, J_lo, freq))
+        packed = spectrum._line_order(freq, J_lo, K_lo, code_lo, J_up, K_up)
+        assert np.array_equal(packed, six)
+
     def test_deterministic_output(self):
         beta = ViolationModel(1e-6)
         first = linelist_csv(line_list(BH3, "nu3", self.ENS, beta))
@@ -603,6 +628,40 @@ class TestSerialization:
         lines = list(fresh_lines())
         assert linelist_csv(fresh_lines()) == loop_linelist_csv(lines)
         assert linelist_json(fresh_lines()) == loop_linelist_json(lines)
+
+    def test_state_label_stays_out_of_the_dataclass(self):
+        # the CSV label is kept in the instance once read, but is no field
+        fields = {"J": 3, "K": -2, "species": S, "I": SPIN_HALF}
+        state, plain = RotationalState(**fields), RotationalState(**fields)
+        assert state._csv_label == "3,-2,s"
+        assert state == plain and hash(state) == hash(plain)
+        assert repr(state) == repr(plain) == (
+            "RotationalState(J=3, K=-2, species=<InversionSpecies.S: 's'>, "
+            "I=Fraction(1, 2))"
+        )
+        assert [f.name for f in dataclasses.fields(state)] == list(fields)
+        assert dataclasses.asdict(state) == fields
+        moved = dataclasses.replace(state, K=1, species=A)
+        assert moved == RotationalState(3, 1, A, SPIN_HALF)
+        assert moved._csv_label == "3,1,a"
+        for original in (state, plain):  # label read, and not read
+            copy = pickle.loads(pickle.dumps(original))
+            assert copy == original and hash(copy) == hash(original)
+            assert copy._csv_label == "3,-2,s"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.J = 4
+
+    def test_numpy_integer_labels_render_like_ints(self):
+        def numpy_ints(state):
+            return RotationalState(np.int64(state.J), np.int32(state.K), state.species)
+
+        hand_built = RotationalState(5, -3, A)
+        for line in (*self.LINES[:3], self.LINES[0]._replace(upper=hand_built)):
+            numpy_line = line._replace(
+                lower=numpy_ints(line.lower), upper=numpy_ints(line.upper)
+            )
+            assert linelist_csv([numpy_line]) == linelist_csv([line])
+            assert linelist_csv([numpy_line]) == loop_linelist_csv([line])
 
 
 class TestEnsembleDomain:
