@@ -39,11 +39,16 @@ integer key.  They are named tuples built at C level from the sorted
 columns, with the cyclic garbage collector paused: each record holds states,
 so the collector tracks it, and while the list grows it would scan the
 records built so far again and again (about a third of a large call).  Each
-CSV, JSON and text row is one ``%`` template filled straight from the line
-and its two states; a CSV row takes each state's ``J,K,species`` fields as
-one label that the state formats once and keeps.  CSV and JSON take their
-field names from ``CSV_HEADER`` and their floats from one ``.10g`` format,
-so they agree on names, order and rounding.
+JSON and text row is one ``%`` template filled straight from the line and
+its two states.  CSV and JSON take their field names from ``CSV_HEADER``
+and their floats from one ``.10g`` format, so they agree on names, order
+and rounding.
+
+A CSV row holds the band, the two floats, each state's ``J,K,species``
+fields as one label that the state formats once and keeps, and the flags.
+Below ``_MATRIX_LINES`` lines each row is a ``%`` template; from there on
+``_csv_matrix`` writes all rows as one byte matrix, with an exact
+vectorised ``%.10g``.  The line count is the one rule.
 """
 
 from __future__ import annotations
@@ -523,8 +528,24 @@ def _json_number(x: float) -> str:
 # attribute: ``.value`` is a Python-level property, about 15% of a large CSV.
 
 
+#: Lines from which ``linelist_csv`` writes one byte matrix instead of one
+#: template per row.  The matrix costs more per call (its module and digit
+#: tables load with the first large list) and less per line.  A first call
+#: in a fresh process, as the CLI makes, breaks even near 10,000 lines (nh3
+#: nu3 at jmax 40, 9,842 lines, about 24 ms either way on a 2-core VM); a
+#: warm call between about 600 and 1,300.
+_MATRIX_LINES = 10_000
+
+
 def linelist_csv(lines: Iterable[SpectralLine]) -> str:
     """Byte-deterministic CSV rendering, floats at 10 significant digits."""
+    lines = lines if isinstance(lines, list) else list(lines)
+    if len(lines) >= _MATRIX_LINES:
+        from . import _csv_matrix  # loaded by the first large list only
+
+        body = _csv_matrix.csv_body(lines)
+        if body is not None:
+            return f"{CSV_HEADER}\n{body}"
     rows = [
         _CSV_ROW % (band, f, i, lo._csv_label, up._csv_label,
                     "true" if sp else "false", "true" if ss else "false")

@@ -10,13 +10,17 @@ which derives everything from character arithmetic.  The loop oracle
 builds line lists and partition functions one level and one transition at
 a time in Python, the way trisym.spectrum did before it became an array
 computation over one level table.  It keeps its own rule for a level's
-statistical weight over a set of sectors and its own inversion offsets and
-degeneracies; of trisym it shares only the level-class helpers and the
-public classifier functions, which the classifier oracles check, and the
-numeric kernels.  The loop serializers are the CSV and JSON writers that
-trisym.spectrum used before its JSON rows were typed from the CSV fields,
-and the f-string text writer that trisym.cli used before the text rows
-became a template in trisym.spectrum.
+statistical weight over a set of sectors, its own inversion offsets and
+degeneracies, and its own scalar closed forms of the level energy and the
+Hoenl-London factors, written in the engine's operation order (squares as
+``x * x``) so that equality with the engine stays exact; only the
+Boltzmann exponential is numpy's.  Of trisym it shares only the level-class
+helpers and the public classifier functions, which the classifier oracles
+check; it does not import the engine's numeric kernels.  The loop
+serializers are the CSV and JSON writers that trisym.spectrum used before
+its JSON rows were typed from the CSV fields, and the f-string text writer
+that trisym.cli used before the text rows became a template in
+trisym.spectrum.
 """
 
 import json
@@ -26,7 +30,6 @@ from itertools import product
 
 import numpy as np
 
-from trisym import _kernels
 from trisym.classify import (
     _CLASS_LEVELS,
     ForbiddenBy,
@@ -257,10 +260,44 @@ def _inversion_offset(molecule, species):
     return -half if species is InversionSpecies.S else half
 
 
+def loop_rot_energy(molecule, J, K):
+    """Rigid-rotor energy B J(J+1) - (B - C) K^2 of one level."""
+    j, k, b, c = float(J), float(K), float(molecule.B_cm1), float(molecule.C_cm1)
+    return b * j * (j + 1.0) - (b - c) * k * k
+
+
 def loop_level_energy(molecule, J, K, species):
-    """Level energy, inversion offset included, from the kernel formula."""
-    rot = _kernels.rot_energy_array(J, K, molecule.B_cm1, molecule.C_cm1)
-    return float(rot) + _inversion_offset(molecule, species)
+    """Level energy, inversion offset included."""
+    return loop_rot_energy(molecule, J, K) + _inversion_offset(molecule, species)
+
+
+def loop_honl_london(J, K, dj, dk, parallel):
+    """Hoenl-London factor of one branch from the lower level (J, K): dj is
+    the J change, dk the signed K change (0 for a parallel band).  P and Q
+    from J = 0 are 0, and so is any negative factor."""
+    j, k = float(J), float(K)
+    if dj != 1 and j == 0:
+        return 0.0
+    if parallel:
+        if dj == 1:
+            out = ((j + 1.0) * (j + 1.0) - k * k) / ((j + 1.0) * (2.0 * j + 1.0))
+        elif dj == 0:
+            out = k * k / (j * (j + 1.0))
+        else:
+            out = (j * j - k * k) / (j * (2.0 * j + 1.0))
+    else:
+        m = dk * k
+        if dj == 1:
+            out = (j + 1.0 + m) * (j + 2.0 + m) / (2.0 * (j + 1.0) * (2.0 * j + 1.0))
+        elif dj == 0:
+            out = (j + 1.0 + m) * (j - m) / (2.0 * j * (j + 1.0))
+        else:
+            out = (j - m) * (j - 1.0 - m) / (2.0 * j * (2.0 * j + 1.0))
+    return out if out > 0.0 else 0.0
+
+
+def _boltzmann(energies, kt):
+    return np.exp(-np.array(energies, dtype=float) / kt)
 
 
 def _upper_species(species):
@@ -285,21 +322,15 @@ def loop_partition_function(molecule, ensemble, violation):
         _population(weights, target, violation.beta, avail)
         for weights, avail in _class_weights(molecule)
     ]
-    j_arr, k_arr, g_arr, e_arr = [], [], [], []
+    weights, energies = [], []
     for J, K, species in _levels(molecule, ensemble.jmax):
-        j_arr.append(J)
-        k_arr.append(K)
-        g_arr.append(
+        weights.append(
             g_class[_level_class(J, K, _a(species))]
             * (2 * J + 1)
             * (2 if K != 0 else 1)
         )
-        e_arr.append(_inversion_offset(molecule, species))
-    energies = _kernels.rot_energy_array(
-        np.array(j_arr), np.array(k_arr), molecule.B_cm1, molecule.C_cm1
-    ) + np.array(e_arr)
-    boltz = _kernels.boltzmann_array(energies, kt)
-    return float(np.dot(np.array(g_arr), boltz))
+        energies.append(loop_level_energy(molecule, J, K, species))
+    return float(np.dot(np.array(weights), _boltzmann(energies, kt)))
 
 
 def loop_state_population(molecule, state, ensemble, violation):
@@ -365,23 +396,15 @@ def loop_line_list(molecule, band, ensemble, violation, normalization="max"):
     if not records:
         return []
 
-    j_lo = np.array([r[0] for r in records])
-    k_lo = np.array([r[1] for r in records])
-    j_up = np.array([r[3] for r in records])
-    k_up = np.array([r[4] for r in records])
-    dj = np.array([r[6] for r in records])
-    dk = np.array([r[7] for r in records])
-    pop = np.array([r[8] for r in records])
-
-    e_lo = _kernels.rot_energy_array(j_lo, k_lo, molecule.B_cm1, molecule.C_cm1)
-    e_up = _kernels.rot_energy_array(j_up, k_up, molecule.B_cm1, molecule.C_cm1)
-    off_lo = np.array([_inversion_offset(molecule, r[2]) for r in records])
-    off_up = np.array([_inversion_offset(molecule, r[5]) for r in records])
-    freq = band.origin_cm1 + (e_up + off_up) - (e_lo + off_lo)
-    hl = _kernels.honl_london_array(j_lo, k_lo, dj, dk, parallel)
-    boltz = _kernels.boltzmann_array(e_lo + off_lo, kt)
-    dk_weight = np.where(k_lo != 0, 2.0, 1.0)
-    intensity = pop * (2 * j_lo + 1) * dk_weight * boltz * hl
+    e_lo = [loop_level_energy(molecule, r[0], r[1], r[2]) for r in records]
+    e_up = [loop_level_energy(molecule, r[3], r[4], r[5]) for r in records]
+    freq = [band.origin_cm1 + up - lo for lo, up in zip(e_lo, e_up)]
+    boltz = _boltzmann(e_lo, kt).tolist()
+    intensity = np.array([
+        pop * (2 * J + 1) * (2.0 if K != 0 else 1.0) * b
+        * loop_honl_london(J, K, dj, dk, parallel)
+        for (J, K, _, _, _, _, dj, dk, pop, _, _), b in zip(records, boltz)
+    ])
 
     if normalization == "total":
         intensity = intensity / loop_partition_function(molecule, ensemble, violation)

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import gc
+import inspect
 import io
 import json
 import math
@@ -26,7 +27,7 @@ from oracle import (
     loop_partition_function,
     loop_state_population,
 )
-from trisym import spectrum
+from trisym import _csv_matrix, spectrum
 from trisym.classify import (
     SPIN_HALF,
     InversionSpecies,
@@ -664,6 +665,115 @@ class TestSerialization:
             assert linelist_csv([numpy_line]) == loop_linelist_csv([line])
 
 
+def repeat_to(lines, size):
+    """``size`` lines, cycling through ``lines``."""
+    return [lines[n % len(lines)] for n in range(size)]
+
+
+#: One line short of the byte-matrix CSV writer, and the first it takes.
+THRESHOLD_SIDES = [spectrum._MATRIX_LINES - 1, spectrum._MATRIX_LINES]
+
+
+class TestMatrixCsvWriter:
+    """CSV from one byte matrix, on records ``line_list`` never builds, on
+    both sides of the line count from which ``linelist_csv`` uses it."""
+
+    STATES = [RotationalState(3, 2, S), RotationalState(4, -3, A),
+              RotationalState(10**6, -(10**6), InversionSpecies.NONE)]
+
+    @staticmethod
+    def plain_fields(n):
+        return 100.0 + n / 7, 1.0 / (n + 3), n % 3 == 0, n % 5 == 0
+
+    def lines(self, bands, fields=plain_fields):
+        """60 lines over the bands in turn; ``fields(n)`` gives line n's
+        frequency, intensity and flags."""
+        return [
+            SpectralLine(bands[n % len(bands)], *fields(n)[:2], self.STATES[n % 3],
+                         self.STATES[(n + 1) % 3], *fields(n)[2:])
+            for n in range(60)
+        ]
+
+    def check(self, lines, size, monkeypatch):
+        """``size`` lines written as the loop writer writes them, through the
+        byte matrix from the threshold on."""
+        calls = []
+        matrix = _csv_matrix.csv_body
+
+        def spy(lines):
+            calls.append(len(lines))
+            return matrix(lines)
+
+        monkeypatch.setattr(_csv_matrix, "csv_body", spy)
+        lines = repeat_to(lines, size)
+        assert linelist_csv(lines) == loop_linelist_csv(lines)
+        assert calls == ([size] if size >= spectrum._MATRIX_LINES else [])
+
+    @pytest.mark.parametrize("size", THRESHOLD_SIDES)
+    def test_non_ascii_band_names(self, size, monkeypatch):
+        self.check(self.lines(["ν3", "bé", "\U0001f600", "\udcff"]), size, monkeypatch)
+
+    @pytest.mark.parametrize("size", THRESHOLD_SIDES)
+    def test_band_name_with_nul_falls_back(self, size, monkeypatch):
+        lines = repeat_to(self.lines(["nu2", "nu\x003"]), size)
+        self.check(lines, size, monkeypatch)
+        assert _csv_matrix.csv_body(lines) is None
+
+    @pytest.mark.parametrize("size", THRESHOLD_SIDES)
+    def test_several_bands_in_runs_and_interleaved(self, size, monkeypatch):
+        runs = [line._replace(band="nu4") for line in self.lines(["nu2"])[:30]]
+        self.check(runs + self.lines(["nu2", "nu3", "nu2"]), size, monkeypatch)
+
+    @pytest.mark.parametrize("size", THRESHOLD_SIDES)
+    def test_numpy_scalar_and_int_fields(self, size, monkeypatch):
+        def fields(n):
+            freq = (np.float64(1e3 + n), np.float32(0.1 * n + 1), 7 + n, np.int64(n + 1))
+            intensity = (np.float32(1.0 / (n + 1)), 3, np.float64(2.5e-7 * n), True)
+            flags = (np.bool_(n % 2), n % 3, np.int8(0), 1.0)
+            return freq[n % 4], intensity[n % 4], flags[n % 4], flags[(n + 1) % 4]
+
+        lines = self.lines(["nu2"], fields)
+        numpy_state = RotationalState(np.int64(7), np.int32(-5), A)
+        self.check(lines + [lines[0]._replace(upper=numpy_state)], size, monkeypatch)
+
+    @pytest.mark.parametrize("size", THRESHOLD_SIDES)
+    def test_generator_argument(self, size):
+        lines = repeat_to(self.lines(["nu2"]), size)
+        assert linelist_csv(iter(lines)) == loop_linelist_csv(lines)
+
+    def test_empty_list(self):
+        assert linelist_csv([]) == linelist_csv(iter([])) == CSV_HEADER + "\n"
+
+    @pytest.mark.parametrize("size", THRESHOLD_SIDES)
+    def test_records_of_another_length_rejected_as_before(self, size):
+        with pytest.raises(ValueError):
+            linelist_csv(repeat_to([tuple(self.lines(["nu2"])[0])[:6]], size))
+
+    @pytest.mark.parametrize("size", THRESHOLD_SIDES)
+    @pytest.mark.parametrize("field", ["frequency", "intensity"])
+    @pytest.mark.parametrize("value", [None, "1.5"])
+    def test_non_numbers_rejected_as_before(self, size, field, value):
+        # numpy's object cast would give NaN for None and 1.5 for "1.5"
+        lines = repeat_to(self.lines(["nu2"]), size)
+        lines[-1] = lines[-1]._replace(**{field: value})
+        with pytest.raises(TypeError):
+            linelist_csv(lines)
+
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(st.lists(hand_built_lines(), min_size=1, max_size=6))
+    def test_hand_built_lines_through_the_matrix(self, lines):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectrum, "_MATRIX_LINES", 1)
+            assert linelist_csv(lines) == loop_linelist_csv(lines)
+
+    def test_engine_list_above_the_threshold(self):
+        ens, violation = ThermalEnsemble(jmax=45), ViolationModel(0.3)
+        lines = line_list(NH3, "nu3", ens, violation, "none")
+        assert len(lines) >= spectrum._MATRIX_LINES
+        oracle = loop_line_list(NH3, "nu3", ens, violation, "none")
+        assert linelist_csv(lines) == loop_linelist_csv(oracle)
+
+
 class TestEnsembleDomain:
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_temperature_must_be_finite(self, value):
@@ -975,6 +1085,13 @@ class TestLoopOracle:
         assert partition_function(mol, ens, violation) == (
             loop_partition_function(mol, ens, violation)
         )
+
+    def test_oracle_computes_its_own_numbers(self):
+        # energies and line strengths are closed forms of its own, so an
+        # error in the engine's numeric kernels cannot cancel out
+        import oracle
+
+        assert "_kernels" not in inspect.getsource(oracle)
 
     @pytest.mark.parametrize("name,band,beta", sorted({c[:3] for c in CASES}))
     def test_text_matches_loop_writer(self, name, band, beta):
