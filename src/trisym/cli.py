@@ -17,12 +17,13 @@ import numpy as np
 
 from . import group_algebra as ga
 from .classify import InversionSpecies, classify_state
-from .molecules import PointGroup, dump_molecule, get_molecule, shipped_molecules
+from .molecules import dump_molecule, get_molecule, shipped_molecules
 from .spectrum import (
     _NONE,
     ThermalEnsemble,
     ViolationModel,
     _check_jmax,
+    _check_species,
     _levels,
     line_list,
     linelist_csv,
@@ -119,21 +120,10 @@ def _parse_spin_i(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _species_for(molecule, args) -> InversionSpecies:
-    if molecule.point_group is PointGroup.C3V:
-        if args.species is None:
-            raise ValueError(
-                "--species: s or a is required for a C3v molecule"
-            )
-        return InversionSpecies(args.species)
-    if args.species is not None:
-        raise ValueError("--species: only meaningful for C3v molecules")
-    return InversionSpecies.NONE
-
-
 def _cmd_classify(args) -> int:
     molecule = get_molecule(args.molecule)
-    species = _species_for(molecule, args)
+    species = InversionSpecies(args.species or "none")
+    _check_species(molecule, species, "--species")
     i_value = _parse_spin_i(args.I) if args.I is not None else None
     assignment = classify_state(
         args.J, args.K, molecule.nuclear_spin, species, i_value

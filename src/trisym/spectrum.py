@@ -30,12 +30,13 @@ row in C.  It keeps memory in proportion to the largest jmax seen, about
 once CSV has been written from every state, which keeps its CSV label.
 ``jmax`` is bounded so that a band's level table stays within a 2 GiB
 budget at a stated 8 KiB per level, which also bounds the shared tables.
-Arguments of the wrong type, temperatures whose kT is 0 or whose factors
-overflow, level energies that overflow and unpopulated ensembles are
-rejected.
+Arguments of the wrong type, levels outside the molecule's ensemble,
+temperatures whose kT is 0 or whose factors overflow, level energies that
+overflow and unpopulated ensembles are rejected.
 
-Lines are sorted by frequency, ties broken by their labels packed into one
-integer key.  They are named tuples built at C level from the sorted
+Lines are sorted by frequency, ties by the level-table rows of the lower and
+then the upper level: label order once the s and a rows of a C3v pair swap.
+They are named tuples built at C level from the sorted
 columns, with the cyclic garbage collector paused: each record holds states,
 so the collector tracks it, and while the list grows it would scan the
 records built so far again and again (about a third of a large call).  Each
@@ -179,7 +180,7 @@ def state_energy(
 ) -> float:
     """Level energy including the inversion-doubling offset for C3v."""
     _check_jk(J, K)
-    _check_type(species, InversionSpecies, "species")
+    _check_species(molecule, species)
     return float(_levels(molecule, J, K, _SPECIES.index(species))[1])
 
 
@@ -188,8 +189,8 @@ def honl_london(
 ) -> float:
     """Rotational line-strength factor for one branch.
 
-    ``branch`` is "P", "Q" or "R"; ``delta_k`` (+1 or -1) selects the
-    perpendicular sub-branch and is ignored for parallel bands.  The three
+    ``branch`` is "P", "Q" or "R"; ``delta_k`` must be +1 or -1 and selects
+    the perpendicular sub-branch; parallel bands ignore its sign.  The three
     branch factors at fixed (J, K) sum to 1.
     """
     if branch not in ("P", "Q", "R"):
@@ -238,11 +239,21 @@ def _boltzmann(energy, temperature: float):
     return boltz
 
 
-#: Species codes index this tuple.  It is in label order, so sorting on the
-#: code sorts on the label, and ``2 - code`` is the electric-dipole partner
-#: of a level (s <-> a, none <-> none).
+#: Species codes index this tuple, and ``2 - code`` is the electric-dipole
+#: partner of a level (s <-> a, none <-> none).
 _SPECIES = (InversionSpecies.A, InversionSpecies.NONE, InversionSpecies.S)
 _A, _NONE, _S = range(3)
+
+
+def _check_species(molecule: MoleculeSpec, species, field: str = "species"):
+    """Reject a species that no level of the molecule carries."""
+    _check_type(species, InversionSpecies, field)
+    if (molecule.point_group is PointGroup.C3V) == (species is InversionSpecies.NONE):
+        raise ValueError(
+            f"{field} must be s or a for a C3v molecule and none for a D3h one; "
+            f"{molecule.name!r} is {molecule.point_group._value_}, "
+            f"got {species._value_!r}"
+        )
 
 
 def _level_table(molecule: MoleculeSpec, jmax: int):
@@ -357,9 +368,13 @@ def state_population(
     ensemble: ThermalEnsemble,
     violation: ViolationModel = ViolationModel(),
 ) -> float:
-    """Fractional thermal population of one (J, K, species) level."""
+    """Fractional thermal population of one (J, K, species) level of the
+    ensemble: J at most its jmax, and a species the molecule's levels carry."""
     _check_inputs(molecule, ensemble, violation)
     _check_type(state, RotationalState, "state")
+    _check_species(molecule, state.species)
+    if state.J > ensemble.jmax:
+        raise ValueError(f"J must be at most jmax {ensemble.jmax}, got {state.J}")
     T = ensemble.temperature
     g_class, z = _partition_function_cached(molecule, T, ensemble.jmax, violation.beta)
     _check_populated(z, ensemble)
@@ -429,21 +444,12 @@ def _line_columns(
             intensity = intensity / intensity[allowed].max()
     _check_finite(intensity, T, "line intensities")
 
-    order = _line_order(freq, J[lo], K[lo], code[lo], J[up], K[up])
+    # Frequency ties go by table row, lower level first.  Rows are in label
+    # order but for the s and a rows of a C3v pair, so the lower row swaps
+    # within its pair; the upper species follows from the lower one.
+    rank_lo = lo ^ 1 if molecule.point_group is PointGroup.C3V else lo
+    order = np.lexsort((rank_lo * len(J) + up, freq))
     return table, (freq, intensity, lo, up, sp, ss), order
-
-
-def _line_order(freq, J_lo, K_lo, code_lo, J_up, K_up):
-    """The order that sorts lines by frequency, then by J, K and species
-    code of the lower level, then by J and K of the upper one.  The five
-    labels are packed into one int64 key in the same order, each J and K
-    below ``_JMAX_LIMIT + 2`` (an upper J reaches jmax + 1), so a two-key
-    sort gives the same order as the six-key one (about half the time)."""
-    n = _JMAX_LIMIT + 2
-    key = J_lo.astype(np.int64)
-    for label, base in ((K_lo, n), (code_lo, 3), (J_up, n), (K_up, n)):
-        key = key * base + label
-    return np.lexsort((key, freq))
 
 
 def line_list(

@@ -225,6 +225,21 @@ class TestPopulations:
         )
         assert p11 / p10 == pytest.approx(expect, rel=1e-12)
 
+    # each once returned a number, such as 0.006127 for so3-a, 0.7 for
+    # energy-so3-a and 0.0393 for so3-j-12, though the levels up to jmax
+    # already sum to 1
+    @pytest.mark.parametrize("field,call", [
+        ("species", lambda e: state_population(SO3, RotationalState(1, 0, A), e)),
+        ("species", lambda e: state_population(NH3, RotationalState(1, 0), e)),
+        ("species", lambda e: state_energy(SO3, 1, 0, A)),
+        ("species", lambda e: state_energy(NH3, 1, 0)),
+        ("J", lambda e: state_population(SO3, RotationalState(12, 0), e)),
+    ], ids=["so3-a", "nh3-none", "energy-so3-a", "energy-nh3-none", "so3-j-12"])
+    def test_level_outside_ensemble_rejected(self, field, call):
+        with pytest.raises(ValueError, match=f"^{field} must") as info:
+            call(ThermalEnsemble(296.0, 10))
+        assert "\n" not in str(info.value)
+
     def test_beta_populates_forbidden_states(self):
         ens = ThermalEnsemble(jmax=10)
         state = RotationalState(1, 1)
@@ -426,29 +441,22 @@ class TestLineList:
                 assert type(s) is RotationalState
                 assert s == RotationalState(s.J, s.K, s.species)
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_packed_order_matches_six_keys(self, seed):
-        # labels up to the largest upper J any accepted jmax reaches, drawn
-        # from the extremes on even seeds so that every key ties often
-        rng = np.random.default_rng(seed)
-        top, n = spectrum._JMAX_LIMIT + 1, 5000
-
-        def draw_j():
-            if seed % 2:
-                return rng.integers(0, top + 1, n)
-            return rng.choice([0, 1, top - 1, top], n)
-
-        def draw_k(J):
-            k = rng.integers(0, J + 1)
-            return k if seed % 2 else np.where(rng.random(n) < 0.5, J, k)
-
-        J_lo, J_up = draw_j(), draw_j()
-        K_lo, K_up = draw_k(J_lo), draw_k(J_up)
-        code_lo = rng.integers(0, 3, n)
-        freq = rng.choice([100.0, 100.5, 2000.0], n)
-        six = np.lexsort((K_up, J_up, code_lo, K_lo, J_lo, freq))
-        packed = spectrum._line_order(freq, J_lo, K_lo, code_lo, J_up, K_up)
-        assert np.array_equal(packed, six)
+    def test_order_matches_label_lexsort(self):
+        # frequency, then J, K and species of the lower level and of the
+        # upper one; nh3/nu3 (C3v) ties on nearly every line, so3 and bh3 are
+        # D3h with spin 0 and 1/2.  Without splitting, s and a lines tie, and
+        # with B = C a line's upper row can be lower than a tied line's while
+        # its lower row is higher.
+        degenerate = dataclasses.replace(NH3, C_cm1=NH3.B_cm1,
+                                         inversion_splitting_cm1=0.0)
+        for molecule, band, jmax in ((NH3, "nu3", 120), (SO3, "nu2", 60),
+                                     (BH3, "nu3", 60), (degenerate, "nu3", 30)):
+            lines = line_list(molecule, band, ThermalEnsemble(jmax=jmax),
+                              ViolationModel(0.5), "none")
+            rows = [(l.frequency, l.lower.J, l.lower.K, l.lower.species.value,
+                     l.upper.J, l.upper.K, l.upper.species.value) for l in lines]
+            order = np.lexsort(list(zip(*rows))[::-1])  # last key sorts first
+            assert np.array_equal(order, np.arange(len(lines))), molecule
 
     def test_deterministic_output(self):
         beta = ViolationModel(1e-6)
@@ -1102,12 +1110,18 @@ class TestLoopOracle:
     @pytest.mark.parametrize("name", shipped_molecules())
     @pytest.mark.parametrize("beta", [0.0, 1e-9, 0.3])
     def test_state_population_identical(self, name, beta):
+        # every label to jmax + 1: the ensemble's levels agree with the loop
+        # oracle, and the rest are rejected
         mol = get_molecule(name)
         ens, violation = ThermalEnsemble(jmax=12), ViolationModel(beta)
         for J in range(ens.jmax + 2):
             for K in range(-J, J + 1):
                 for species in InversionSpecies:
                     state = RotationalState(J, K, species)
+                    if not _in_ensemble(mol, state, ens):
+                        with pytest.raises(ValueError, match="^(J|species) must"):
+                            state_population(mol, state, ens, violation)
+                        continue
                     assert state_population(mol, state, ens, violation) == (
                         loop_state_population(mol, state, ens, violation)
                     )
@@ -1150,6 +1164,14 @@ Z_ZERO_CASES = [
     (_PLANAR_HALF, ThermalEnsemble(296.0, 0), ViolationModel(0.0), "max"),
     (_PLANAR_HALF, ThermalEnsemble(1e-3, 5), ViolationModel(0.0), "total"),
 ]
+
+
+def _in_ensemble(molecule, state, ensemble):
+    """Whether a state labels a level of the ensemble: J at most its jmax,
+    species s or a for C3v and none for D3h."""
+    c3v = molecule.point_group is PointGroup.C3V
+    none = state.species is InversionSpecies.NONE
+    return state.J <= ensemble.jmax and c3v != none
 
 
 def _levels_key(l):
@@ -1211,6 +1233,11 @@ class TestRandomMolecules:
         molecule, ensemble, violation, _ = case
         states = [RotationalState(J, K, sp) for J in range(ensemble.jmax + 2)
                   for K in range(J + 1) for sp in InversionSpecies]
+        for state in states:
+            if not _in_ensemble(molecule, state, ensemble):
+                with pytest.raises(ValueError, match="^(J|species) must"):
+                    state_population(molecule, state, ensemble, violation)
+        states = [s for s in states if _in_ensemble(molecule, s, ensemble)]
         if loop_partition_function(molecule, ensemble, violation) == 0:
             with pytest.raises(ValueError, match="partition function is 0"):
                 state_population(molecule, states[0], ensemble, violation)
