@@ -458,6 +458,28 @@ class TestLineList:
             order = np.lexsort(list(zip(*rows))[::-1])  # last key sorts first
             assert np.array_equal(order, np.arange(len(lines))), molecule
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_packed_order_matches_six_keys(self, seed):
+        # the two table rows packed into one key sort frequency ties as the
+        # six-key sort on frequency, lower J, K and species and upper J and K
+        # does; a random molecule per seed, on even seeds with B = C and no
+        # inversion splitting so that every key ties often
+        rng = np.random.default_rng(seed)
+        c3v = bool(rng.integers(2))
+        B = float(rng.choice([0.5, 1.0, 2.0]))
+        C = B if seed % 2 == 0 else float(rng.uniform(0.1, 10.0))
+        split = None if not c3v else 0.0 if seed % 2 == 0 else float(rng.uniform(0, 5))
+        band = Band("b", 1000.0, BandType.PERPENDICULAR if rng.integers(2)
+                    else BandType.PARALLEL)
+        molecule = MoleculeSpec("random", PointGroup.C3V if c3v else PointGroup.D3H,
+                                Fraction(int(rng.integers(2)), 2), B, C, (band,),
+                                split)
+        ensemble = ThermalEnsemble(jmax=int(rng.integers(0, 40)))
+        (J, K, code), (freq, _, lo, up, _, _), order = spectrum._line_columns(
+            molecule, band, ensemble, ViolationModel(0.5), "none")
+        six = np.lexsort((K[up], J[up], code[lo], K[lo], J[lo], freq))
+        assert np.array_equal(order, six)
+
     def test_deterministic_output(self):
         beta = ViolationModel(1e-6)
         first = linelist_csv(line_list(BH3, "nu3", self.ENS, beta))
