@@ -17,9 +17,6 @@ from .classify import (
     InversionSpecies,
     RotationalState,
     SymmetryAssignment,
-    classify_c3v_k0,
-    classify_spin0_planar,
-    classify_spin_half_planar,
     classify_state,
     spin_statistical_weight,
 )
@@ -51,9 +48,6 @@ __all__ = [
     "SymmetryAssignment",
     "ThermalEnsemble",
     "ViolationModel",
-    "classify_c3v_k0",
-    "classify_spin0_planar",
-    "classify_spin_half_planar",
     "classify_state",
     "get_molecule",
     "line_list",

@@ -49,9 +49,6 @@ __all__ = [
     "SPIN_THREE_HALF",
     "rotation_phase_inplane",
     "rotation_phase_axis",
-    "classify_spin0_planar",
-    "classify_spin_half_planar",
-    "classify_c3v_k0",
     "classify_state",
     "spin_space_decomposition",
     "product_decompose",
@@ -205,11 +202,14 @@ def _check_spin(nuclear_spin):
 
 def _check_number(value, field: str, *, zero=False, high=sys.float_info.max):
     """Reject anything but a real number in (0, high], or [0, high] with
-    ``zero``.  A bool is not a number here (True would read as 1), and the
-    value is compared, never converted: float() of a huge int overflows."""
+    ``zero``.  A bool is not a number here (True would read as 1).  An int or
+    a Fraction is compared, never converted: float() of a huge one
+    overflows.  A numpy float is widened to a Python float first, exactly,
+    since comparing a float32 with ``high`` casts ``high`` to inf."""
+    x = float(value) if isinstance(value, np.floating) else value
     if not (
-        isinstance(value, Real) and not isinstance(value, bool)
-        and (0 <= value if zero else 0 < value) and value <= high
+        isinstance(x, Real) and not isinstance(x, bool)
+        and (0 <= x if zero else 0 < x) and x <= high
     ):
         upper = "" if high == sys.float_info.max else f" and <= {high}"
         raise ValueError(
@@ -223,17 +223,6 @@ def _check_type(value, cls: type, field: str):
     (such as "parallel") is not its member."""
     if type(value) is not cls:
         raise ValueError(f"{field} must be of type {cls.__name__}, got {value!r}")
-
-
-def classify_spin0_planar(J: int, K: int) -> SymmetryAssignment:
-    """Classify a rotational level of a planar molecule with spin-0 nuclei.
-
-    K = 3q (q != 0): symmetric/antisymmetric pair, allowed.
-    K = 3q +- 1:     mixed-symmetry only, SP-forbidden.
-    K = 0:           even J symmetric (allowed), odd J antisymmetric
-                     (forbidden by the bosonic spin-statistics).
-    """
-    return classify_state(J, K, Fraction(0))
 
 
 def spin_space_decomposition() -> dict[SubspaceLabel, list[tuple[Fraction, int]]]:
@@ -263,31 +252,6 @@ def product_decompose(
     if a not in chars or b not in chars:
         raise ValueError(f"labels must be coarse sector labels, got {a}, {b}")
     return _sectors(_decompose([chars[a][c] * chars[b][c] for c in _CLASSES]))
-
-
-def classify_spin_half_planar(
-    J: int, K: int, I: Fraction | None = None
-) -> SymmetryAssignment:
-    """Classify a level of a planar molecule with three spin-1/2 nuclei.
-
-    With ``I`` given, returns the assignment of that hyperfine component.
-    With ``I=None`` (hyperfine structure unresolved) the union over both I
-    values is returned; the level counts as forbidden only when every
-    component is.
-    """
-    return classify_state(J, K, SPIN_HALF, InversionSpecies.NONE, I)
-
-
-def classify_c3v_k0(
-    J: int,
-    species: InversionSpecies,
-    nuclear_spin: Fraction,
-    I: Fraction | None = None,
-) -> SymmetryAssignment:
-    """Classify a K = 0 inversion-doublet component of a C3v molecule."""
-    if species not in (InversionSpecies.S, InversionSpecies.A):
-        raise ValueError("species must be s or a for a C3v doublet")
-    return classify_state(J, 0, nuclear_spin, species, I)
 
 
 def classify_state(
@@ -435,25 +399,13 @@ def sector_weights(
 def spin_statistical_weight(
     J: int,
     K: int,
-    molecule=None,
-    *,
-    nuclear_spin: Fraction | None = None,
+    nuclear_spin: Fraction,
     species: InversionSpecies = InversionSpecies.NONE,
 ) -> int:
     """Number of states of the level carrying the statistics-required symmetry.
 
     Totally symmetric states for spin-0 (bosonic) nuclei, totally
     antisymmetric for spin-1/2 (fermionic) ones.  Zero means the level is
-    completely forbidden under SP plus spin-statistics.  Pass either a
-    molecule spec or an explicit ``nuclear_spin``, not both.
+    completely forbidden under SP plus spin-statistics.
     """
-    if molecule is not None:
-        from .molecules import MoleculeSpec  # molecules imports this module
-
-        _check_type(molecule, MoleculeSpec, "molecule")
-        if nuclear_spin is not None:
-            raise ValueError("pass either molecule or nuclear_spin, not both")
-        nuclear_spin = molecule.nuclear_spin
-    if nuclear_spin is None:
-        raise ValueError("either molecule or nuclear_spin is required")
     return sector_weights(J, K, nuclear_spin, species)[_required_sector(nuclear_spin)]

@@ -147,8 +147,6 @@ def _cmd_classify(args) -> int:
 
 def _cmd_energies(args) -> int:
     molecule = get_molecule(args.molecule)
-    if args.jmax < 0:
-        raise ValueError(f"--jmax: must be >= 0, got {args.jmax}")
     _check_jmax(args.jmax)
     J, K = np.tril_indices(args.jmax + 1)  # J, then K <= J, in row order
     _, energy, _ = _levels(molecule, J, K, _NONE)

@@ -114,8 +114,11 @@ _JMAX_LIMIT = (math.isqrt(4 * _MAX_LEVELS + 1) - 5) // 2
 
 
 def _check_jmax(jmax: int):
-    """Reject a jmax whose level table would exceed the memory budget.  It
-    also bounds the shared state tables, which grow to the largest table."""
+    """Reject a jmax that is not an integer >= 0, or whose level table would
+    exceed the memory budget.  The budget also caps the shared state tables,
+    which grow to the largest table."""
+    if isinstance(jmax, bool) or not isinstance(jmax, Integral) or jmax < 0:
+        raise ValueError(f"jmax must be an integer >= 0, got {jmax!r}")
     if jmax > _JMAX_LIMIT:
         raise ValueError(
             f"jmax must be at most {_JMAX_LIMIT} (a level table of at most "
@@ -141,14 +144,11 @@ class ThermalEnsemble:
 
     def __post_init__(self):
         _check_number(self.temperature, "temperature")
-        if KB_CM1 * self.temperature == 0:  # a tiny Fraction rounds to 0.0
+        if KB_CM1 * float(self.temperature) == 0:  # a tiny Fraction rounds to 0.0
             raise ValueError(
                 f"temperature {self.temperature!r} is too small: kT rounds to 0"
             )
-        jmax = self.jmax
-        if isinstance(jmax, bool) or not isinstance(jmax, Integral) or jmax < 0:
-            raise ValueError(f"jmax must be an integer >= 0, got {jmax!r}")
-        _check_jmax(jmax)
+        _check_jmax(self.jmax)
 
 
 class SpectralLine(NamedTuple):
@@ -213,7 +213,9 @@ def _pair_populations(molecule: MoleculeSpec, beta: float) -> np.ndarray:
     """Population factor of each (lower, upper) level-class pair: the lower
     class's weight over the sectors both occupy (0 if none: superselection),
     with ``beta`` on every sector but the statistics-required one.  The
-    diagonal is each class's full weight."""
+    diagonal is each class's full weight.  ``beta`` may be any real, such as
+    a ``Fraction``; the table is float."""
+    beta = float(beta)
     required = _required_sector(molecule.nuclear_spin)
     weights = [sector_weights(J, K, molecule.nuclear_spin) for J, K in _CLASS_LEVELS]
     table = np.zeros((4, 4))
@@ -233,8 +235,8 @@ def _check_finite(values, temperature: float, what: str):
 
 def _boltzmann(energy, temperature: float):
     """Boltzmann factors exp(-E / kT) of level energies in cm^-1."""
-    with np.errstate(over="ignore"):
-        boltz = _kernels.boltzmann_array(energy, KB_CM1 * temperature)
+    with np.errstate(over="ignore"):  # kT in float64, even for a float16 T
+        boltz = _kernels.boltzmann_array(energy, KB_CM1 * float(temperature))
     _check_finite(boltz, temperature, "Boltzmann factors")
     return boltz
 

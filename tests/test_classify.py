@@ -20,9 +20,6 @@ from trisym.classify import (
     RotationalState,
     SPIN_HALF,
     SPIN_THREE_HALF,
-    classify_c3v_k0,
-    classify_spin0_planar,
-    classify_spin_half_planar,
     classify_state,
     product_decompose,
     rotation_phase_axis,
@@ -118,26 +115,26 @@ class TestSpin0Planar:
         ],
     )
     def test_table(self, J, K, labels, forbidden):
-        out = classify_spin0_planar(J, K)
+        out = classify_state(J, K, S0)
         assert out.subspaces == frozenset(labels)
         assert out.forbidden_by is forbidden
 
     def test_k_sign_irrelevant(self):
         for J in range(1, 8):
             for K in range(1, J + 1):
-                assert classify_spin0_planar(J, K) == classify_spin0_planar(J, -K)
+                assert classify_state(J, K, S0) == classify_state(J, -K, S0)
 
     def test_sp_forbidden_iff_k_not_multiple_of_three(self):
         for J in range(11):
             for K in range(J + 1):
-                out = classify_spin0_planar(J, K)
+                out = classify_state(J, K, S0)
                 assert out.sp_forbidden == (K % 3 != 0)
 
     def test_invalid_jk(self):
         with pytest.raises(ValueError):
-            classify_spin0_planar(-1, 0)
+            classify_state(-1, 0, S0)
         with pytest.raises(ValueError):
-            classify_spin0_planar(2, 3)
+            classify_state(2, 3, S0)
 
 
 class TestSpinHalfPlanar:
@@ -157,7 +154,7 @@ class TestSpinHalfPlanar:
         ],
     )
     def test_per_component(self, J, K, I, labels, forbidden):
-        out = classify_spin_half_planar(J, K, I)
+        out = classify_state(J, K, SPIN_HALF, NONE, I)
         assert out.subspaces == frozenset(labels)
         assert out.forbidden_by is forbidden
 
@@ -173,16 +170,16 @@ class TestSpinHalfPlanar:
         ],
     )
     def test_aggregate(self, J, K, labels, forbidden):
-        out = classify_spin_half_planar(J, K)
+        out = classify_state(J, K, SPIN_HALF)
         assert out.subspaces == frozenset(labels)
         assert out.forbidden_by is forbidden
 
     def test_aggregate_union_property(self):
         for J in range(8):
             for K in range(J + 1):
-                agg = classify_spin_half_planar(J, K)
+                agg = classify_state(J, K, SPIN_HALF)
                 parts = [
-                    classify_spin_half_planar(J, K, i)
+                    classify_state(J, K, SPIN_HALF, NONE, i)
                     for i in (SPIN_HALF, SPIN_THREE_HALF)
                 ]
                 assert agg.subspaces == parts[0].subspaces | parts[1].subspaces
@@ -191,7 +188,7 @@ class TestSpinHalfPlanar:
 
     def test_invalid_i(self):
         with pytest.raises(ValueError):
-            classify_spin_half_planar(1, 0, Fraction(5, 2))
+            classify_state(1, 0, SPIN_HALF, NONE, Fraction(5, 2))
 
 
 class TestC3vK0:
@@ -209,7 +206,7 @@ class TestC3vK0:
         ],
     )
     def test_spin0(self, J, species, labels, forbidden):
-        out = classify_c3v_k0(J, species, S0)
+        out = classify_state(J, 0, S0, species)
         assert out.subspaces == frozenset(labels)
         assert out.forbidden_by is forbidden
 
@@ -225,40 +222,42 @@ class TestC3vK0:
         ],
     )
     def test_spin_half(self, J, species, I, labels, forbidden):
-        out = classify_c3v_k0(J, species, SPIN_HALF, I)
+        out = classify_state(J, 0, SPIN_HALF, species, I)
         assert out.subspaces == frozenset(labels)
         assert out.forbidden_by is forbidden
 
-    def test_species_required(self):
-        with pytest.raises(ValueError):
-            classify_c3v_k0(1, NONE, S0)
-
     def test_i_rejected_for_spin0(self):
         with pytest.raises(ValueError):
-            classify_c3v_k0(1, InversionSpecies.S, S0, SPIN_HALF)
+            classify_state(1, 0, S0, InversionSpecies.S, SPIN_HALF)
 
 
 class TestClassifyStateDispatch:
-    def test_matches_planar_for_none_species(self):
-        for J in range(6):
-            for K in range(J + 1):
-                assert classify_state(J, K, S0) == classify_spin0_planar(J, K)
-                assert classify_state(J, K, SPIN_HALF) == classify_spin_half_planar(
-                    J, K
-                )
-
     def test_c3v_k_nonzero_uses_planar_rules(self):
         for J in range(1, 6):
             for K in range(1, J + 1):
                 for sp in (InversionSpecies.S, InversionSpecies.A):
                     assert classify_state(J, K, SPIN_HALF, sp) == (
-                        classify_spin_half_planar(J, K)
+                        classify_state(J, K, SPIN_HALF)
                     )
 
-    def test_c3v_k0_dispatch(self):
-        assert classify_state(1, 0, S0, InversionSpecies.A) == classify_c3v_k0(
-            1, InversionSpecies.A, S0
-        )
+    def test_one_entry_point(self):
+        # three per-case wrappers once repeated classify_state, and
+        # spin_statistical_weight also took a molecule, importing molecules
+        import ast
+        import inspect
+
+        import trisym
+        from trisym import classify
+
+        for name in ("classify_spin0_planar", "classify_spin_half_planar",
+                     "classify_c3v_k0"):
+            assert not hasattr(trisym, name) and not hasattr(classify, name)
+        assert list(inspect.signature(spin_statistical_weight).parameters) == [
+            "J", "K", "nuclear_spin", "species"
+        ]
+        tree = ast.parse(Path(classify.__file__).read_text())
+        imports = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+        assert "molecules" not in {n.module for n in imports}
 
     def test_i_rejected_for_spin0(self):
         with pytest.raises(ValueError):
@@ -362,7 +361,7 @@ class TestSpinAndProducts:
                 else:
                     rot = None  # both HP and HM occur in the +-K pair
                 for I in (SPIN_HALF, SPIN_THREE_HALF):
-                    got = classify_spin_half_planar(J, K, I).subspaces
+                    got = classify_state(J, K, SPIN_HALF, NONE, I).subspaces
                     if rot is not None:
                         expect = frozenset(product_decompose(rot, spin_sector[I]))
                     else:
@@ -467,25 +466,8 @@ class TestStatisticalWeights:
 
         so3 = get_molecule("so3")
         nh3 = get_molecule("nh3")
-        assert spin_statistical_weight(2, 0, so3) == 1
-        assert spin_statistical_weight(1, 1, nh3) == 2
-
-    def test_requires_spin_information(self):
-        with pytest.raises(ValueError):
-            spin_statistical_weight(1, 1)
-
-    # a str or an int once raised a bare AttributeError
-    @pytest.mark.parametrize("molecule", ["so3", 5, Fraction(1, 2)])
-    def test_molecule_type_checked(self, molecule):
-        with pytest.raises(ValueError, match="^molecule must be of type MoleculeSpec"):
-            spin_statistical_weight(1, 0, molecule)
-
-    def test_molecule_and_spin_not_both(self):
-        # the spin was once ignored: so3's spin-0 weight 0 came back
-        from trisym.molecules import get_molecule
-
-        with pytest.raises(ValueError, match="not both"):
-            spin_statistical_weight(1, 0, get_molecule("so3"), nuclear_spin=SPIN_HALF)
+        assert spin_statistical_weight(2, 0, so3.nuclear_spin) == 1
+        assert spin_statistical_weight(1, 1, nh3.nuclear_spin) == 2
 
     def test_rejects_unsupported_spin(self):
         with pytest.raises(ValueError):

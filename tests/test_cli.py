@@ -114,11 +114,13 @@ class TestEnergies:
         assert (code, out) == (0, "\n".join(["J,K,energy_cm1", *rows]) + "\n")
 
     def test_negative_jmax(self, capsys):
-        code, _, err = invoke(
-            capsys, "energies", "--molecule", "fixture", "--jmax", "-1"
-        )
-        assert code == 1
-        assert "--jmax" in err
+        # energies once had its own check, with its own message
+        for command in (["energies"], ["linelist", "--band", "par"]):
+            code, out, err = invoke(
+                capsys, *command, "--molecule", "fixture", "--jmax", "-1"
+            )
+            assert (code, out) == (1, "")
+            assert err == "error: jmax must be an integer >= 0, got -1\n"
 
 
 class TestJmaxBound:

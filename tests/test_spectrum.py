@@ -11,6 +11,7 @@ import pickle
 import sys
 import threading
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -847,6 +848,45 @@ class TestEnsembleDomain:
     def test_bool_and_non_real_rejected(self, field, make):
         with pytest.raises(ValueError, match=field):
             make()
+
+    def test_fraction_beta_matches_its_float(self):
+        # once numpy's UFuncOutputCastingError from an object-dtype pair
+        # table, unless a call with 0.25 had filled the partition-function cache
+        ensemble, state = ThermalEnsemble(296.0, 5), RotationalState(2, 0)
+        exact, rounded = ViolationModel(Fraction(1, 4)), ViolationModel(0.25)
+        spectrum._partition_function_cached.cache_clear()
+        csv_exact = linelist_csv(line_list(SO3, "nu2", ensemble, exact, "none"))
+        assert csv_exact == linelist_csv(
+            line_list(SO3, "nu2", ensemble, rounded, "none"))
+        for fn, args in ((partition_function, ()), (state_population, (state,))):
+            spectrum._partition_function_cached.cache_clear()
+            value = fn(SO3, *args, ensemble, exact)
+            spectrum._partition_function_cached.cache_clear()
+            assert value == fn(SO3, *args, ensemble, rounded)
+
+    # a float32 inf once passed with a warning, every Boltzmann factor then 1,
+    # every float32 value warned of an overflow casting the float maximum,
+    # and a float16 296 K computed kT in float16, and cached it for 296.0
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32])
+    @pytest.mark.parametrize("field,lines", [
+        ("temperature", lambda x: line_list(SO3, "nu2", ThermalEnsemble(x, 5))),
+        ("B_cm1", lambda x: line_list(
+            dataclasses.replace(SO3, B_cm1=x), "nu2", ThermalEnsemble(296.0, 5))),
+        ("origin_cm1", lambda x: line_list(
+            dataclasses.replace(SO3, bands=(Band("nu2", x, BandType.PARALLEL),)),
+            "nu2", ThermalEnsemble(296.0, 5))),
+    ], ids=["temperature", "B_cm1", "origin_cm1"])
+    def test_narrow_numpy_floats(self, dtype, field, lines):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for value in ("inf", "nan"):
+                with pytest.raises(
+                    ValueError, match=f"{field} must be a finite number > 0, got"
+                ):
+                    lines(dtype(value))
+            spectrum._partition_function_cached.cache_clear()
+            kept = lines(dtype(296))
+        assert kept == lines(296.0)
 
     def test_non_band_named_in_key_error(self):
         # once an AttributeError raised while formatting the KeyError
