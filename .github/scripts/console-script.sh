@@ -4,6 +4,7 @@
 set -euo pipefail
 trisym molecules
 dir=$(mktemp -d)
+trap 'rm -rf "$dir"' EXIT
 for format in text csv json; do
   args="linelist --molecule bh3 --band nu3 --jmax 5 --beta 0.3 --format $format"
   trisym $args > "$dir/stdout.$format"

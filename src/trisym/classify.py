@@ -85,28 +85,20 @@ class ForbiddenBy(enum.Enum):
     SS = "SS"
     SP_AND_SS = "SP+SS"
 
-    @property
-    def sp(self) -> bool:
-        return self in (ForbiddenBy.SP, ForbiddenBy.SP_AND_SS)
-
-    @property
-    def ss(self) -> bool:
-        return self in (ForbiddenBy.SS, ForbiddenBy.SP_AND_SS)
-
 
 @dataclass(frozen=True)
 class RotationalState:
-    """Quantum labels of one roto-(nuclear-spin) level."""
+    """Quantum labels of one rotational level: J, K and the inversion
+    species.  Hyperfine components are resolved only by ``classify_state``'s
+    ``I``."""
 
     J: int
     K: int
     species: InversionSpecies = InversionSpecies.NONE
-    I: Fraction | None = None
 
     def __post_init__(self):
         _check_jk(self.J, self.K)
         _check_type(self.species, InversionSpecies, "species")
-        _check_i(self.I)
 
     @cached_property
     def _csv_label(self) -> str:
@@ -126,11 +118,11 @@ class SymmetryAssignment:
 
     @property
     def sp_forbidden(self) -> bool:
-        return self.forbidden_by.sp
+        return self.forbidden_by in (ForbiddenBy.SP, ForbiddenBy.SP_AND_SS)
 
     @property
     def ss_forbidden(self) -> bool:
-        return self.forbidden_by.ss
+        return self.forbidden_by in (ForbiddenBy.SS, ForbiddenBy.SP_AND_SS)
 
 
 def rotation_phase_inplane(K: int, epsilon: int) -> complex:
@@ -188,11 +180,6 @@ def _check_jk(J: int, K: int):
         raise ValueError(f"J must be at most 2**53, got {J}")
     if abs(K) > J:
         raise ValueError(f"|K| <= J required, got K={K}, J={J}")
-
-
-def _check_i(I):
-    if I is not None and I not in (SPIN_HALF, SPIN_THREE_HALF):
-        raise ValueError(f"I must be 1/2 or 3/2, got {I}")
 
 
 def _check_spin(nuclear_spin):
@@ -363,7 +350,8 @@ def _spin_character(nuclear_spin, I) -> tuple[int, int, int]:
     _check_spin(nuclear_spin)
     if I is not None and nuclear_spin == 0:
         raise ValueError("I is only meaningful for spin-1/2 nuclei")
-    _check_i(I)
+    if I is not None and I not in (SPIN_HALF, SPIN_THREE_HALF):
+        raise ValueError(f"I must be 1/2 or 3/2, got {I}")
     return _SPIN_CHARS[nuclear_spin, I]
 
 

@@ -52,7 +52,6 @@ __all__ = [
     "invariant_projectors",
     "apply_perm",
     "decompose",
-    "normalize",
     "character_table",
     "CLASS_SIZES",
     "multiplication_table",
@@ -212,14 +211,6 @@ V3: np.ndarray = np.array(
 V4: np.ndarray = np.array(
     [LAMBDA_MINUS, 0.0, 0.0, LAMBDA_PLUS, 1.0, 0.0], dtype=np.complex128
 )
-
-
-def normalize(v: np.ndarray) -> np.ndarray:
-    """Return v / ||v||; raises on the zero vector."""
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return np.asarray(v, dtype=np.complex128) / norm
 
 
 def symmetrizer() -> np.ndarray:

@@ -14,8 +14,9 @@ A config file is a flat mapping plus a nested band list:
 floats in interfaces.  ``inversion_splitting_cm1`` is present exactly for
 C3v molecules.  Numbers are read as YAML 1.2 reads them (``1e-3`` and
 ``1.0e308`` are floats), checked by the one rule in ``classify`` and never
-coerced: a quoted number, a bool or a value out of range is rejected, and so
-is an enum field given its value instead of its member.  The
+coerced from another type: a quoted number, a bool or a value out of range
+is rejected, and so is an enum field given its value instead of its member.
+Every accepted number is stored as a Python float.  The
 rotational constants shipped with the package are placeholder fixture
 values for exercising the machinery, not measured molecular constants.
 """
@@ -38,7 +39,6 @@ __all__ = [
     "BandType",
     "Band",
     "MoleculeSpec",
-    "load_molecule",
     "loads_molecule",
     "dump_molecule",
     "get_molecule",
@@ -88,7 +88,7 @@ class Band:
                 f"band {self.name!r}: name must be a string without commas, "
                 f"double quotes or line breaks"
             )
-        _check_number(self.origin_cm1, f"band {self.name!r}: origin_cm1")
+        _float_field(self, "origin_cm1", f"band {self.name!r}: origin_cm1")
         _check_type(self.band_type, BandType, f"band {self.name!r}: band_type")
 
 
@@ -103,9 +103,11 @@ class MoleculeSpec:
     inversion_splitting_cm1: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"name: expected a string, got {self.name!r}")
         _check_type(self.point_group, PointGroup, "point_group")
-        _check_number(self.B_cm1, "B_cm1")
-        _check_number(self.C_cm1, "C_cm1")
+        _float_field(self, "B_cm1", "B_cm1")
+        _float_field(self, "C_cm1", "C_cm1")
         _check_spin(self.nuclear_spin)
         _check_type(self.nuclear_spin, Fraction, "nuclear_spin")
         if self.point_group is PointGroup.C3V:
@@ -113,8 +115,8 @@ class MoleculeSpec:
                 raise ValueError(
                     "inversion_splitting_cm1 is required for a C3v molecule"
                 )
-            _check_number(
-                self.inversion_splitting_cm1, "inversion_splitting_cm1", zero=True
+            _float_field(
+                self, "inversion_splitting_cm1", "inversion_splitting_cm1", zero=True
             )
         elif self.inversion_splitting_cm1 is not None:
             raise ValueError(
@@ -137,15 +139,13 @@ class MoleculeSpec:
         raise KeyError(f"unknown band {name!r} (shipped bands: {known})")
 
 
-def _number(value, field: str, zero=False) -> float:
-    _check_number(value, field, zero=zero)
-    return float(value)  # safe once checked: a huge int is rejected first
-
-
-def _string(value, field: str) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"{field}: expected a string, got {value!r}")
-    return value
+def _float_field(spec, field: str, label: str, zero=False):
+    """Check a number field of a frozen ``spec`` and store it as a Python
+    float, the type the engine and the dumper assume.  float() is safe once
+    checked: a huge int or Fraction is rejected first."""
+    value = getattr(spec, field)
+    _check_number(value, label, zero=zero)
+    object.__setattr__(spec, field, float(value))
 
 
 def loads_molecule(text: str) -> MoleculeSpec:
@@ -184,32 +184,26 @@ def loads_molecule(text: str) -> MoleculeSpec:
                 f"bands[{i}].type: must be parallel or perpendicular, "
                 f"got {raw['type']!r}"
             ) from exc
-        origin = _number(raw["origin_cm1"], f"bands[{i}].origin_cm1")
-        name = _string(raw["name"], f"bands[{i}].name")
-        bands.append(Band(name, origin, band_type))
+        _check_number(raw["origin_cm1"], f"bands[{i}].origin_cm1")
+        if not isinstance(raw["name"], str):
+            raise ValueError(
+                f"bands[{i}].name: expected a string, got {raw['name']!r}"
+            )
+        bands.append(Band(raw["name"], raw["origin_cm1"], band_type))
     spin = data["nuclear_spin"]
     if spin not in ("0", "1/2"):
         raise ValueError(
             f'nuclear_spin: must be the literal string "0" or "1/2", got {spin!r}'
         )
-    inv = data.get("inversion_splitting_cm1")
     return MoleculeSpec(
-        name=_string(data["name"], "name"),
+        name=data["name"],
         point_group=point_group,
         nuclear_spin=Fraction(spin),
-        B_cm1=_number(data["B_cm1"], "B_cm1"),
-        C_cm1=_number(data["C_cm1"], "C_cm1"),
+        B_cm1=data["B_cm1"],
+        C_cm1=data["C_cm1"],
         bands=tuple(bands),
-        inversion_splitting_cm1=(
-            None if inv is None
-            else _number(inv, "inversion_splitting_cm1", zero=True)
-        ),
+        inversion_splitting_cm1=data.get("inversion_splitting_cm1"),
     )
-
-
-def load_molecule(path) -> MoleculeSpec:
-    """Load a molecule config from a file path."""
-    return loads_molecule(Path(path).read_text())
 
 
 def dump_molecule(spec: MoleculeSpec) -> str:
@@ -244,7 +238,7 @@ def get_molecule(name: str) -> MoleculeSpec:
     """Load a shipped config by name, or any config by file path."""
     candidate = Path(name)
     if candidate.suffix in (".yaml", ".yml") or candidate.exists():
-        return load_molecule(candidate)
+        return loads_molecule(candidate.read_text())
     try:
         text = (
             resources.files("trisym.configs").joinpath(f"{name}.yaml").read_text()

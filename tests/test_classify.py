@@ -20,6 +20,7 @@ from trisym.classify import (
     RotationalState,
     SPIN_HALF,
     SPIN_THREE_HALF,
+    SymmetryAssignment,
     classify_state,
     product_decompose,
     rotation_phase_axis,
@@ -240,6 +241,12 @@ class TestClassifyStateDispatch:
                         classify_state(J, K, SPIN_HALF)
                     )
 
+    @pytest.mark.parametrize("forbidden", list(ForbiddenBy))
+    def test_flags_read_forbidden_by(self, forbidden):
+        assignment = SymmetryAssignment(frozenset(), forbidden)
+        assert assignment.sp_forbidden == ("SP" in forbidden.value)
+        assert assignment.ss_forbidden == ("SS" in forbidden.value)
+
     def test_one_entry_point(self):
         # three per-case wrappers once repeated classify_state, and
         # spin_statistical_weight also took a molecule, importing molecules
@@ -281,8 +288,6 @@ class TestClassifyStateDispatch:
             RotationalState(J=-1, K=0)
         with pytest.raises(ValueError):
             RotationalState(J=1, K=2)
-        with pytest.raises(ValueError):
-            RotationalState(J=1, K=0, I=Fraction(5, 2))
 
 
 class TestRuleOracle:

@@ -1,5 +1,6 @@
 """Tests for molecule specs and the YAML config format."""
 
+import dataclasses
 import json
 import re
 from fractions import Fraction
@@ -17,11 +18,10 @@ from trisym.molecules import (
     PointGroup,
     dump_molecule,
     get_molecule,
-    load_molecule,
     loads_molecule,
     shipped_molecules,
 )
-from trisym.spectrum import ThermalEnsemble, ViolationModel
+from trisym.spectrum import ThermalEnsemble, ViolationModel, line_list, linelist_csv
 
 MINIMAL = """
 name: toy
@@ -96,7 +96,16 @@ def test_round_trip_all_shipped():
         assert loads_molecule(dump_molecule(spec)) == spec
 
 
-_POSITIVE = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
+_POSITIVE_FLOATS = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
+#: Positive finite reals of every type the constructors take.
+_POSITIVE = st.one_of(
+    _POSITIVE_FLOATS,
+    _POSITIVE_FLOATS.map(np.float64),
+    st.floats(min_value=0, exclude_min=True, allow_infinity=False,
+              width=32).map(np.float32),
+    st.integers(min_value=1, max_value=2**1000),
+    st.fractions(min_value=0, max_value=10**9).filter(bool),
+)
 #: Any text, and names that a YAML reader takes for other types unless quoted.
 _NAMES = st.one_of(st.text(), st.sampled_from(
     ["1e3", ".5E1", "1.0e308", "-2e-3", "0", "0x1f", "true", "null", "~", ".nan"]))
@@ -106,8 +115,8 @@ _BAND_NAMES = st.lists(_NAMES.filter(lambda n: not set(n) & set(',"\r\n')),
 
 @st.composite
 def valid_specs(draw):
-    """Any spec the constructors accept with the number types the loader
-    produces: float constants and origins, a Fraction spin."""
+    """Any spec the constructors accept: constants and origins of any real
+    type, a Fraction spin."""
     c3v = draw(st.booleans())
     bands = tuple(Band(name, draw(_POSITIVE), draw(st.sampled_from(list(BandType))))
                   for name in draw(_BAND_NAMES))
@@ -119,7 +128,8 @@ def valid_specs(draw):
         C_cm1=draw(_POSITIVE),
         bands=bands,
         inversion_splitting_cm1=(
-            draw(st.floats(min_value=0, allow_infinity=False)) if c3v else None
+            draw(st.one_of(_POSITIVE, st.sampled_from([0, 0.0, Fraction(0)])))
+            if c3v else None
         ),
     )
 
@@ -128,7 +138,28 @@ def valid_specs(draw):
 @given(st.one_of(st.sampled_from([get_molecule(n) for n in shipped_molecules()]),
                  valid_specs()))
 def test_dump_round_trips_every_valid_spec(spec):
+    # a Fraction or numpy float constant was once kept as given, and the
+    # dumper raised yaml's RepresenterError on it
+    numbers = [spec.B_cm1, spec.C_cm1, *(b.origin_cm1 for b in spec.bands)]
+    if spec.inversion_splitting_cm1 is not None:
+        numbers.append(spec.inversion_splitting_cm1)
+    assert {type(x) for x in numbers} == {float}
     assert loads_molecule(dump_molecule(spec)) == spec
+
+
+@pytest.mark.parametrize("origin", [Fraction(498), np.float32(498), 498])
+def test_origin_of_any_real_type_gives_the_float_csv(origin):
+    # a Fraction origin once made object-dtype frequencies, and line_list
+    # raised numpy's TypeError from isfinite
+    so3 = get_molecule("so3")
+
+    def csv(value):
+        molecule = dataclasses.replace(
+            so3, bands=(Band("nu2", value, BandType.PARALLEL),))
+        return linelist_csv(line_list(molecule, "nu2", ThermalEnsemble(296.0, 10),
+                                      ViolationModel(1e-6)))
+
+    assert csv(origin) == csv(498.0)
 
 
 @pytest.mark.parametrize("value,number", [
@@ -150,7 +181,6 @@ def test_quoted_exponent_stays_a_string(value):
 def test_load_from_path(tmp_path):
     path = tmp_path / "toy.yaml"
     path.write_text(MINIMAL)
-    assert load_molecule(path) == loads_molecule(MINIMAL)
     assert get_molecule(str(path)) == loads_molecule(MINIMAL)
 
 
@@ -348,3 +378,11 @@ def test_nuclear_spin_must_be_a_fraction(spin):
     # 0.0 once passed and dumped as '0.0', which loads_molecule rejects
     with pytest.raises(ValueError, match="^nuclear_spin must be of type Fraction"):
         MoleculeSpec(**dict(SPEC, nuclear_spin=spin))
+
+
+@pytest.mark.parametrize("name", [5, None, b"x"])
+def test_molecule_name_must_be_a_string(name):
+    # once accepted and dumped, and the dump then failed to load
+    message = f"name: expected a string, got {name!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MoleculeSpec(**dict(SPEC, name=name))

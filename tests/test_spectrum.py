@@ -663,18 +663,17 @@ class TestSerialization:
 
     def test_state_label_stays_out_of_the_dataclass(self):
         # the CSV label is kept in the instance once read, but is no field
-        fields = {"J": 3, "K": -2, "species": S, "I": SPIN_HALF}
+        fields = {"J": 3, "K": -2, "species": S}
         state, plain = RotationalState(**fields), RotationalState(**fields)
         assert state._csv_label == "3,-2,s"
         assert state == plain and hash(state) == hash(plain)
         assert repr(state) == repr(plain) == (
-            "RotationalState(J=3, K=-2, species=<InversionSpecies.S: 's'>, "
-            "I=Fraction(1, 2))"
+            "RotationalState(J=3, K=-2, species=<InversionSpecies.S: 's'>)"
         )
         assert [f.name for f in dataclasses.fields(state)] == list(fields)
         assert dataclasses.asdict(state) == fields
         moved = dataclasses.replace(state, K=1, species=A)
-        assert moved == RotationalState(3, 1, A, SPIN_HALF)
+        assert moved == RotationalState(3, 1, A)
         assert moved._csv_label == "3,1,a"
         for original in (state, plain):  # label read, and not read
             copy = pickle.loads(pickle.dumps(original))
