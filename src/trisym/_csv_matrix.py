@@ -9,12 +9,15 @@ these tables or compiles this code.
 in one pass.  Band and state objects are keyed by the pointers that array
 holds, so each run of one band object and each distinct state object is
 rendered once (the state's cached ``_csv_label``), and so is each run of
-one frequency bit pattern; their bytes are gathered to every row.  The
-intensities go through ``g10_blocks``, an exact vectorised ``%.10g``.  The
-blocks are joined row by row into one bytearray, the NULs dropped with
-``bytes.translate`` and the text decoded once.  A band name holding a NUL,
-the padding byte, or a record that is no 7-tuple makes ``csv_body`` return
-None, and the caller writes the template rows.
+one frequency bit pattern; their bytes are gathered to every row.  The run
+frequencies and the intensities go through one call of ``g10_blocks``, an
+exact vectorised ``%.10g``, whose blocks are split by row; the frequency
+rows drop the columns only intensities use.  The blocks are joined row
+by row into one bytearray, the NULs dropped with ``bytes.translate`` and
+the text decoded once.  Each band run's name must
+pass ``molecules._check_band_name``.  A band name holding a NUL, the padding
+byte, or a record that is no 7-tuple makes ``csv_body`` return None, and the
+caller writes the template rows.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from array import array
 from itertools import chain
 
 import numpy as np
+
+from .molecules import _check_band_name
 
 #: The format ``g10_blocks`` reproduces, and the one it falls back to.
 _G10 = "%.10g"
@@ -178,7 +183,8 @@ def _padded(texts) -> np.ndarray:
 
 def csv_body(lines: list) -> str | None:
     """The CSV rows of ``lines``, header excluded, or None if a line is no
-    7-tuple or a band name holds a NUL."""
+    7-tuple or a band name holds a NUL; a band ``Band`` would reject is a
+    ValueError."""
     n = len(lines)
     if set(map(len, lines)) != {7}:
         return None
@@ -186,11 +192,16 @@ def csv_body(lines: list) -> str | None:
     # An object array holds object pointers: equal keys, the same object.
     keys = np.frombuffer(fields.tobytes(), np.intp).reshape(n, 7)
     band_first, band_row = _runs(keys[:, 0])
-    names = [str(band) for band in fields[band_first, 0].tolist()]
-    if any("\0" in name for name in names):
+    bands = fields[band_first, 0].tolist()
+    for band in bands:
+        _check_band_name(band)
+    if any("\0" in band for band in bands):
         return None
     freq = _floats(fields[:, 1].tolist())
     freq_first, freq_row = _runs(freq.view(np.int64))
+    runs = len(freq_first)
+    # one g10_blocks pass: the run frequencies, then every intensity
+    floats = g10_blocks(_floats(freq[freq_first].tolist() + fields[:, 2].tolist()))
     state_first, state_row = _distinct(keys[:, 3:5].ravel())
     labels = _padded([
         state._csv_label + ","
@@ -199,12 +210,13 @@ def csv_body(lines: list) -> str | None:
     flags = 2 * fields[:, 5].astype(bool) + fields[:, 6].astype(bool)
     comma = np.full((n, 1), ord(","), np.uint8)
     freq_text = np.concatenate(
-        [*g10_blocks(freq[freq_first]), comma[:len(freq_first)]], axis=1
+        [*(block[:runs] for block in floats), comma[:runs]], axis=1
     )
+    freq_text = freq_text[:, freq_text.any(axis=0)]
     blocks = [
-        np.take(_padded([name + "," for name in names]), band_row, axis=0),
+        np.take(_padded([band + "," for band in bands]), band_row, axis=0),
         np.take(freq_text, freq_row, axis=0),
-        *g10_blocks(_floats(fields[:, 2].tolist())),
+        *(block[runs:] for block in floats),
         comma,
         np.take(labels, state_row, axis=0).reshape(n, -1),  # lower, upper
         np.take(_FLAGS, flags, axis=0),

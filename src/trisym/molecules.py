@@ -82,12 +82,7 @@ class Band:
     band_type: BandType
 
     def __post_init__(self):
-        # the name is written unquoted into every CSV row
-        if not isinstance(self.name, str) or any(c in self.name for c in ',"\r\n'):
-            raise ValueError(
-                f"band {self.name!r}: name must be a string without commas, "
-                f"double quotes or line breaks"
-            )
+        _check_band_name(self.name)
         _float_field(self, "origin_cm1", f"band {self.name!r}: origin_cm1")
         _check_type(self.band_type, BandType, f"band {self.name!r}: band_type")
 
@@ -137,6 +132,16 @@ class MoleculeSpec:
                 return band
         known = ", ".join(b.name for b in self.bands)
         raise KeyError(f"unknown band {name!r} (shipped bands: {known})")
+
+
+def _check_band_name(name) -> None:
+    """The one band name rule, which the line-list writers apply to every
+    distinct band they meet: the name is written unquoted into every CSV row."""
+    if not isinstance(name, str) or any(c in name for c in ',"\r\n'):
+        raise ValueError(
+            f"band {name!r}: name must be a string without commas, "
+            f"double quotes or line breaks"
+        )
 
 
 def _float_field(spec, field: str, label: str, zero=False):

@@ -39,7 +39,10 @@ then the upper level: label order once the s and a rows of a C3v pair swap.
 They are named tuples built at C level from the sorted
 columns, with the cyclic garbage collector paused: each record holds states,
 so the collector tracks it, and while the list grows it would scan the
-records built so far again and again (about a third of a large call).  Each
+records built so far again and again (about a third of a large call).  It
+still scans every new record once, at the first allocation after the call:
+for nh3 nu3 at jmax 120 that falls inside the ``linelist_csv`` call that
+follows, about 16 ms of its 140 ms on a 2-core VM.  Each
 JSON and text row is one ``%`` template filled straight from the line and
 its two states.  CSV and JSON take their field names from ``CSV_HEADER``
 and their floats from one ``.10g`` format, so they agree on names, order
@@ -49,7 +52,10 @@ A CSV row holds the band, the two floats, each state's ``J,K,species``
 fields as one label that the state formats once and keeps, and the flags.
 Below ``_MATRIX_LINES`` lines each row is a ``%`` template; from there on
 ``_csv_matrix`` writes all rows as one byte matrix, with an exact
-vectorised ``%.10g``.  The line count is the one rule.
+vectorised ``%.10g``.  The line count is the one rule.  Every writer that
+writes the band checks each distinct band it meets against ``Band``'s name
+rule, ``molecules._check_band_name``, so a hand-built line cannot split or
+widen a row.
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import repeat
 from numbers import Integral
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -80,7 +87,7 @@ from .classify import (
     classify_state,
     sector_weights,
 )
-from .molecules import Band, BandType, MoleculeSpec, PointGroup
+from .molecules import Band, BandType, MoleculeSpec, PointGroup, _check_band_name
 
 __all__ = [
     "KB_CM1",
@@ -537,12 +544,15 @@ def _json_number(x: float) -> str:
 
 
 #: Lines from which ``linelist_csv`` writes one byte matrix instead of one
-#: template per row.  The matrix costs more per call (its module and digit
-#: tables load with the first large list) and less per line.  A first call
-#: in a fresh process, as the CLI makes, breaks even near 10,000 lines (nh3
-#: nu3 at jmax 40, 9,842 lines, about 24 ms either way on a 2-core VM); a
-#: warm call between about 600 and 1,300.
-_MATRIX_LINES = 10_000
+#: template per row.  The matrix costs more per call and less per line.  On
+#: a 2-core VM, with a fresh engine list per call (medians of 60 alternating
+#: calls), it took 1.13 times the template's time at 930 lines, 1.03-1.04
+#: at 950-1,027, 0.99-1.08 at 1,094-1,190 and 0.97-0.98 at 1,261-1,365;
+#: 2,791 lines took 2.2 against 2.6 ms and 9,842 (nh3 nu3 at jmax 40) 11.3
+#: against 16.6 ms (medians of 30).  A fresh process, as the CLI is, also
+#: pays once for the module and its digit tables with its first list of
+#: this size: 5-7 ms and 1.8 MB.
+_MATRIX_LINES = 1_100
 
 
 def linelist_csv(lines: Iterable[SpectralLine]) -> str:
@@ -559,6 +569,8 @@ def linelist_csv(lines: Iterable[SpectralLine]) -> str:
                     "true" if sp else "false", "true" if ss else "false")
         for band, f, i, lo, up, sp, ss in lines
     ]
+    for band in set(map(itemgetter(0), lines)):
+        _check_band_name(band)
     return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
@@ -566,7 +578,11 @@ def linelist_json(lines: Iterable[SpectralLine]) -> str:
     """JSON mirror of the CSV schema: each row's CSV fields, typed (numbers
     for the floats and for J and K, booleans for the flags), laid out as
     ``json.dumps(rows, indent=2)`` lays them out."""
-    band_names = lru_cache(maxsize=None)(json.dumps)
+    @lru_cache(maxsize=None)
+    def band_names(band):
+        _check_band_name(band)
+        return json.dumps(band)
+
     rows = [
         _JSON_ROW % (
             band_names(band), _json_number(f), _json_number(i),

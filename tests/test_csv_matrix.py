@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trisym import spectrum
 from trisym._csv_matrix import g10_blocks
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -94,13 +95,13 @@ def test_any_doubles(values):
     assert_matches_python(values)
 
 
-def test_loaded_by_the_first_large_list_only():
-    # every trisym process imports the package; one that writes only small
-    # lists never compiles the module or builds its tables
+def loads_the_module(size):
+    """The size of an engine list cut to ``size`` lines, and whether a
+    fresh process that writes its CSV loads ``_csv_matrix``."""
     code = (
         "import sys; from trisym import cli, spectrum; from trisym.molecules import "
         "get_molecule; lines = spectrum.line_list(get_molecule('nh3'), 'nu3', "
-        "spectrum.ThermalEnsemble(jmax=30)); spectrum.linelist_csv(lines); "
+        f"spectrum.ThermalEnsemble(jmax=30))[:{size}]; spectrum.linelist_csv(lines); "
         "print(len(lines), 'trisym._csv_matrix' in sys.modules)"
     )
     out = subprocess.run(
@@ -108,4 +109,15 @@ def test_loaded_by_the_first_large_list_only():
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     count, loaded = out.stdout.split()
-    assert int(count) > 5000 and loaded == "False"
+    return int(count), loaded == "True"
+
+
+def test_loaded_by_the_first_large_list_only():
+    # every trisym process imports the package; one that writes only lists
+    # below the threshold never compiles the module or builds its tables
+    size = spectrum._MATRIX_LINES - 1
+    assert loads_the_module(size) == (size, False)
+
+
+def test_loaded_by_a_list_at_the_threshold():
+    assert loads_the_module(spectrum._MATRIX_LINES) == (spectrum._MATRIX_LINES, True)

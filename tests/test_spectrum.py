@@ -8,6 +8,7 @@ import io
 import json
 import math
 import pickle
+import re
 import sys
 import threading
 import time
@@ -702,6 +703,9 @@ def repeat_to(lines, size):
 
 #: One line short of the byte-matrix CSV writer, and the first it takes.
 THRESHOLD_SIDES = [spectrum._MATRIX_LINES - 1, spectrum._MATRIX_LINES]
+#: Both sides of the threshold, and two mid-size lists, on either side of
+#: 10,000 lines, that the matrix writes too.
+SIZES = [*THRESHOLD_SIDES, 9_999, 10_000]
 
 
 class TestMatrixCsvWriter:
@@ -739,22 +743,22 @@ class TestMatrixCsvWriter:
         assert linelist_csv(lines) == loop_linelist_csv(lines)
         assert calls == ([size] if size >= spectrum._MATRIX_LINES else [])
 
-    @pytest.mark.parametrize("size", THRESHOLD_SIDES)
+    @pytest.mark.parametrize("size", SIZES)
     def test_non_ascii_band_names(self, size, monkeypatch):
         self.check(self.lines(["ν3", "bé", "\U0001f600", "\udcff"]), size, monkeypatch)
 
-    @pytest.mark.parametrize("size", THRESHOLD_SIDES)
+    @pytest.mark.parametrize("size", SIZES)
     def test_band_name_with_nul_falls_back(self, size, monkeypatch):
         lines = repeat_to(self.lines(["nu2", "nu\x003"]), size)
         self.check(lines, size, monkeypatch)
         assert _csv_matrix.csv_body(lines) is None
 
-    @pytest.mark.parametrize("size", THRESHOLD_SIDES)
+    @pytest.mark.parametrize("size", SIZES)
     def test_several_bands_in_runs_and_interleaved(self, size, monkeypatch):
         runs = [line._replace(band="nu4") for line in self.lines(["nu2"])[:30]]
         self.check(runs + self.lines(["nu2", "nu3", "nu2"]), size, monkeypatch)
 
-    @pytest.mark.parametrize("size", THRESHOLD_SIDES)
+    @pytest.mark.parametrize("size", SIZES)
     def test_numpy_scalar_and_int_fields(self, size, monkeypatch):
         def fields(n):
             freq = (np.float64(1e3 + n), np.float32(0.1 * n + 1), 7 + n, np.int64(n + 1))
@@ -766,7 +770,7 @@ class TestMatrixCsvWriter:
         numpy_state = RotationalState(np.int64(7), np.int32(-5), A)
         self.check(lines + [lines[0]._replace(upper=numpy_state)], size, monkeypatch)
 
-    @pytest.mark.parametrize("size", THRESHOLD_SIDES)
+    @pytest.mark.parametrize("size", SIZES)
     def test_generator_argument(self, size):
         lines = repeat_to(self.lines(["nu2"]), size)
         assert linelist_csv(iter(lines)) == loop_linelist_csv(lines)
@@ -774,12 +778,33 @@ class TestMatrixCsvWriter:
     def test_empty_list(self):
         assert linelist_csv([]) == linelist_csv(iter([])) == CSV_HEADER + "\n"
 
-    @pytest.mark.parametrize("size", THRESHOLD_SIDES)
+    @settings(deadline=None, derandomize=True, max_examples=100)
+    @given(band=st.one_of(st.text(max_size=6), st.text(",\"\r\n\0ab", max_size=4),
+                          st.integers(), st.none()),
+           size=st.sampled_from(THRESHOLD_SIDES))
+    @example(band="a,b", size=THRESHOLD_SIDES[0])
+    @example(band="x\ny", size=THRESHOLD_SIDES[1])
+    @example(band=5, size=THRESHOLD_SIDES[1])
+    def test_band_names_follow_the_band_rule(self, band, size):
+        # once written as they came: a row of 12 fields, a split row, a
+        # JSON band of 5
+        lines = repeat_to(self.lines(["nu2", band]), size)
+        try:
+            Band(band, 1.0, BandType.PARALLEL)
+        except ValueError:
+            for writer in (linelist_csv, linelist_json):
+                with pytest.raises(ValueError, match=re.escape(f"band {band!r}:")):
+                    writer(lines)
+        else:
+            assert linelist_csv(lines) == loop_linelist_csv(lines)
+            assert linelist_json(lines) == loop_linelist_json(lines)
+
+    @pytest.mark.parametrize("size", SIZES)
     def test_records_of_another_length_rejected_as_before(self, size):
         with pytest.raises(ValueError):
             linelist_csv(repeat_to([tuple(self.lines(["nu2"])[0])[:6]], size))
 
-    @pytest.mark.parametrize("size", THRESHOLD_SIDES)
+    @pytest.mark.parametrize("size", SIZES)
     @pytest.mark.parametrize("field", ["frequency", "intensity"])
     @pytest.mark.parametrize("value", [None, "1.5"])
     def test_non_numbers_rejected_as_before(self, size, field, value):
