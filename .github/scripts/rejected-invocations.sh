@@ -36,3 +36,11 @@ rejected energies --molecule so3 --jmax -1
 cp "$dir/err" "$dir/energies.err"
 rejected linelist --molecule nh3 --band nu3 --jmax -1
 cmp "$dir/energies.err" "$dir/err"
+
+# a band name holding a NUL, the CSV writer's padding byte: the band rule
+# rejects the config before any command reads it
+nul="$dir/nul.yaml"
+sed 's/{name: nu2,/{name: "nu\\0x",/' src/trisym/configs/so3.yaml > "$nul"
+grep -qF '"nu\0x"' "$nul"
+rejected linelist --molecule "$nul" --band nu2 --jmax 3
+rejected molecules --dump "$nul"

@@ -1,9 +1,8 @@
-"""CSV rows of a large line list, written as one NUL-padded byte matrix.
+"""CSV rows of a line list, written as one NUL-padded byte matrix.
 
-``trisym.spectrum.linelist_csv`` imports this module for lists of
-``spectrum._MATRIX_LINES`` lines or more; a smaller list is one ``%``
-template per row, so a process that writes only small lists never loads
-these tables or compiles this code.
+``trisym.spectrum.linelist_csv`` imports this module with a process's first
+CSV, of any size, so a process that writes no CSV never loads these tables
+or compiles this code.
 
 ``csv_body`` pulls the seven fields of every record into one object array
 in one pass.  Band and state objects are keyed by the pointers that array
@@ -14,10 +13,8 @@ frequencies and the intensities go through one call of ``g10_blocks``, an
 exact vectorised ``%.10g``, whose blocks are split by row; the frequency
 rows drop the columns only intensities use.  The blocks are joined row
 by row into one bytearray, the NULs dropped with ``bytes.translate`` and
-the text decoded once.  Each band run's name must
-pass ``molecules._check_band_name``.  A band name holding a NUL, the padding
-byte, or a record that is no 7-tuple makes ``csv_body`` return None, and the
-caller writes the template rows.
+the text decoded once.  Each band run's name must pass
+``molecules._check_band_name``, which rejects a NUL, the padding byte.
 """
 
 from __future__ import annotations
@@ -181,13 +178,12 @@ def _padded(texts) -> np.ndarray:
     return cells.view(np.uint8).reshape(len(cells), -1)
 
 
-def csv_body(lines: list) -> str | None:
-    """The CSV rows of ``lines``, header excluded, or None if a line is no
-    7-tuple or a band name holds a NUL; a band ``Band`` would reject is a
-    ValueError."""
+def csv_body(lines: list) -> str:
+    """The CSV rows of a non-empty list of lines, header excluded.  A line
+    that is no 7-tuple, or a band ``Band`` would reject, is a ValueError."""
     n = len(lines)
     if set(map(len, lines)) != {7}:
-        return None
+        raise ValueError("every line must have the 7 fields of a SpectralLine")
     fields = np.fromiter(chain.from_iterable(lines), object, 7 * n).reshape(n, 7)
     # An object array holds object pointers: equal keys, the same object.
     keys = np.frombuffer(fields.tobytes(), np.intp).reshape(n, 7)
@@ -195,8 +191,6 @@ def csv_body(lines: list) -> str | None:
     bands = fields[band_first, 0].tolist()
     for band in bands:
         _check_band_name(band)
-    if any("\0" in band for band in bands):
-        return None
     freq = _floats(fields[:, 1].tolist())
     freq_first, freq_row = _runs(freq.view(np.int64))
     runs = len(freq_first)

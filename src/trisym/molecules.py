@@ -136,11 +136,12 @@ class MoleculeSpec:
 
 def _check_band_name(name) -> None:
     """The one band name rule, which the line-list writers apply to every
-    distinct band they meet: the name is written unquoted into every CSV row."""
-    if not isinstance(name, str) or any(c in name for c in ',"\r\n'):
+    distinct band they meet: the name is written unquoted into every CSV row,
+    and NUL is the padding byte of the CSV writer's byte matrix."""
+    if not isinstance(name, str) or any(c in name for c in ',"\r\n\0'):
         raise ValueError(
             f"band {name!r}: name must be a string without commas, "
-            f"double quotes or line breaks"
+            f"double quotes, line breaks or NULs"
         )
 
 

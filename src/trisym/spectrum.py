@@ -50,12 +50,11 @@ and rounding.
 
 A CSV row holds the band, the two floats, each state's ``J,K,species``
 fields as one label that the state formats once and keeps, and the flags.
-Below ``_MATRIX_LINES`` lines each row is a ``%`` template; from there on
-``_csv_matrix`` writes all rows as one byte matrix, with an exact
-vectorised ``%.10g``.  The line count is the one rule.  Every writer that
-writes the band checks each distinct band it meets against ``Band``'s name
-rule, ``molecules._check_band_name``, so a hand-built line cannot split or
-widen a row.
+``_csv_matrix`` writes all rows of every list as one byte matrix, with an
+exact vectorised ``%.10g``; it loads with a process's first CSV.  Every
+writer that writes the band checks each distinct band object it meets
+against ``Band``'s name rule, ``molecules._check_band_name``, so a
+hand-built line cannot split or widen a row.
 """
 
 from __future__ import annotations
@@ -68,7 +67,6 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import repeat
 from numbers import Integral
-from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -518,9 +516,6 @@ CSV_HEADER = (
 
 #: The one float format of both renderings: 10 significant digits.
 _FLOAT = "%.10g"
-#: A CSV row: the band, the two floats, each state's ``J,K,species`` fields
-#: as one label (``RotationalState._csv_label``) and the two flags.
-_CSV_ROW = f"%s,{_FLOAT},{_FLOAT},%s,%s,%s,%s"
 #: A JSON row in ``json.dumps(..., indent=2)`` layout, one slot per
 #: ``CSV_HEADER`` field; the species slots are quoted, the band and the
 #: floats are filled in as JSON text.
@@ -539,53 +534,36 @@ def _json_number(x: float) -> str:
     return repr(number) if number - number == 0 else json.dumps(number)
 
 
-# The writers read ``species._value_``, the enum's documented sunder
-# attribute: ``.value`` is a Python-level property, about 15% of a large CSV.
-
-
-#: Lines from which ``linelist_csv`` writes one byte matrix instead of one
-#: template per row.  The matrix costs more per call and less per line.  On
-#: a 2-core VM, with a fresh engine list per call (medians of 60 alternating
-#: calls), it took 1.13 times the template's time at 930 lines, 1.03-1.04
-#: at 950-1,027, 0.99-1.08 at 1,094-1,190 and 0.97-0.98 at 1,261-1,365;
-#: 2,791 lines took 2.2 against 2.6 ms and 9,842 (nh3 nu3 at jmax 40) 11.3
-#: against 16.6 ms (medians of 30).  A fresh process, as the CLI is, also
-#: pays once for the module and its digit tables with its first list of
-#: this size: 5-7 ms and 1.8 MB.
-_MATRIX_LINES = 1_100
+# The JSON and text writers read ``species._value_``, the enum's documented
+# sunder attribute: ``.value`` is a Python-level property.
 
 
 def linelist_csv(lines: Iterable[SpectralLine]) -> str:
     """Byte-deterministic CSV rendering, floats at 10 significant digits."""
     lines = lines if isinstance(lines, list) else list(lines)
-    if len(lines) >= _MATRIX_LINES:
-        from . import _csv_matrix  # loaded by the first large list only
+    if not lines:
+        return CSV_HEADER + "\n"
+    from . import _csv_matrix  # loaded by a process's first CSV
 
-        body = _csv_matrix.csv_body(lines)
-        if body is not None:
-            return f"{CSV_HEADER}\n{body}"
-    rows = [
-        _CSV_ROW % (band, f, i, lo._csv_label, up._csv_label,
-                    "true" if sp else "false", "true" if ss else "false")
-        for band, f, i, lo, up, sp, ss in lines
-    ]
-    for band in set(map(itemgetter(0), lines)):
-        _check_band_name(band)
-    return "\n".join([CSV_HEADER, *rows]) + "\n"
+    return f"{CSV_HEADER}\n{_csv_matrix.csv_body(lines)}"
 
 
 def linelist_json(lines: Iterable[SpectralLine]) -> str:
     """JSON mirror of the CSV schema: each row's CSV fields, typed (numbers
     for the floats and for J and K, booleans for the flags), laid out as
     ``json.dumps(rows, indent=2)`` lays them out."""
-    @lru_cache(maxsize=None)
-    def band_names(band):
-        _check_band_name(band)
-        return json.dumps(band)
+    names = {}  # id(band) -> (band, its JSON text); the entry keeps band alive
+
+    def band_name(band):
+        entry = names.get(id(band))
+        if entry is None:
+            _check_band_name(band)
+            entry = names[id(band)] = band, json.dumps(band)
+        return entry[1]
 
     rows = [
         _JSON_ROW % (
-            band_names(band), _json_number(f), _json_number(i),
+            band_name(band), _json_number(f), _json_number(i),
             lo.J, lo.K, lo.species._value_, up.J, up.K, up.species._value_,
             "true" if sp else "false", "true" if ss else "false",
         )

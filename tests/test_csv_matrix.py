@@ -8,10 +8,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trisym import spectrum
 from trisym._csv_matrix import g10_blocks
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -95,29 +95,43 @@ def test_any_doubles(values):
     assert_matches_python(values)
 
 
-def loads_the_module(size):
-    """The size of an engine list cut to ``size`` lines, and whether a
-    fresh process that writes its CSV loads ``_csv_matrix``."""
+def loads_the_module(steps):
+    """Whether a fresh process that runs ``steps``, with ``cli``, ``spectrum``
+    and ``lines``, a 2,402-line nh3 nu3 engine list, at hand, has loaded
+    ``_csv_matrix``."""
     code = (
-        "import sys; from trisym import cli, spectrum; from trisym.molecules import "
-        "get_molecule; lines = spectrum.line_list(get_molecule('nh3'), 'nu3', "
-        f"spectrum.ThermalEnsemble(jmax=30))[:{size}]; spectrum.linelist_csv(lines); "
-        "print(len(lines), 'trisym._csv_matrix' in sys.modules)"
+        "import contextlib, io, sys\n"
+        "from trisym import cli, spectrum\n"
+        "from trisym.molecules import get_molecule\n"
+        "lines = spectrum.line_list(get_molecule('nh3'), 'nu3', "
+        "spectrum.ThermalEnsemble(jmax=20))\n"
+        f"{steps}\n"
+        "print('trisym._csv_matrix' in sys.modules)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
-    count, loaded = out.stdout.split()
-    return int(count), loaded == "True"
+    return out.stdout.split()[-1] == "True"
 
 
-def test_loaded_by_the_first_large_list_only():
-    # every trisym process imports the package; one that writes only lists
-    # below the threshold never compiles the module or builds its tables
-    size = spectrum._MATRIX_LINES - 1
-    assert loads_the_module(size) == (size, False)
+def test_not_loaded_without_a_csv():
+    # every trisym process imports the package; one that writes no CSV line
+    # list never compiles the module or builds its tables
+    commands = [
+        "classify --molecule nh3 --J 3 --K 1 --species s",
+        "energies --molecule nh3 --jmax 30 --format csv",
+        "linelist --molecule nh3 --band nu3 --jmax 30 --format json",
+        "linelist --molecule nh3 --band nu3 --jmax 30 --format text",
+    ]
+    steps = (
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert all(cli.run(c.split()) == 0 for c in {commands!r})\n"
+        "spectrum.linelist_json(lines), spectrum.linelist_text(lines)"
+    )
+    assert not loads_the_module(steps)
 
 
-def test_loaded_by_a_list_at_the_threshold():
-    assert loads_the_module(spectrum._MATRIX_LINES) == (spectrum._MATRIX_LINES, True)
+@pytest.mark.parametrize("size", [1, 15, 1_100])
+def test_loaded_by_the_first_csv_of_any_size(size):
+    assert loads_the_module(f"spectrum.linelist_csv(lines[:{size}])")

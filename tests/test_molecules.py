@@ -109,7 +109,7 @@ _POSITIVE = st.one_of(
 #: Any text, and names that a YAML reader takes for other types unless quoted.
 _NAMES = st.one_of(st.text(), st.sampled_from(
     ["1e3", ".5E1", "1.0e308", "-2e-3", "0", "0x1f", "true", "null", "~", ".nan"]))
-_BAND_NAMES = st.lists(_NAMES.filter(lambda n: not set(n) & set(',"\r\n')),
+_BAND_NAMES = st.lists(_NAMES.filter(lambda n: not set(n) & set(',"\r\n\0')),
                        min_size=1, max_size=3, unique=True)
 
 

@@ -29,7 +29,7 @@ from oracle import (
     loop_partition_function,
     loop_state_population,
 )
-from trisym import _csv_matrix, spectrum
+from trisym import spectrum
 from trisym.classify import (
     SPIN_HALF,
     InversionSpecies,
@@ -43,7 +43,9 @@ from trisym.molecules import (
     BandType,
     MoleculeSpec,
     PointGroup,
+    dump_molecule,
     get_molecule,
+    loads_molecule,
     shipped_molecules,
 )
 from trisym.spectrum import (
@@ -701,16 +703,14 @@ def repeat_to(lines, size):
     return [lines[n % len(lines)] for n in range(size)]
 
 
-#: One line short of the byte-matrix CSV writer, and the first it takes.
-THRESHOLD_SIDES = [spectrum._MATRIX_LINES - 1, spectrum._MATRIX_LINES]
-#: Both sides of the threshold, and two mid-size lists, on either side of
-#: 10,000 lines, that the matrix writes too.
-SIZES = [*THRESHOLD_SIDES, 9_999, 10_000]
+#: List sizes, in lines: one line, 15, two of about 1,100 and two of about
+#: 10,000, each written by the one CSV writer.
+SIZES = [1, 15, 1_099, 1_100, 9_999, 10_000]
 
 
 class TestMatrixCsvWriter:
-    """CSV from one byte matrix, on records ``line_list`` never builds, on
-    both sides of the line count from which ``linelist_csv`` uses it."""
+    """CSV from one byte matrix, on records ``line_list`` never builds, in
+    lists of every size."""
 
     STATES = [RotationalState(3, 2, S), RotationalState(4, -3, A),
               RotationalState(10**6, -(10**6), InversionSpecies.NONE)]
@@ -728,38 +728,38 @@ class TestMatrixCsvWriter:
             for n in range(60)
         ]
 
-    def check(self, lines, size, monkeypatch):
-        """``size`` lines written as the loop writer writes them, through the
-        byte matrix from the threshold on."""
-        calls = []
-        matrix = _csv_matrix.csv_body
-
-        def spy(lines):
-            calls.append(len(lines))
-            return matrix(lines)
-
-        monkeypatch.setattr(_csv_matrix, "csv_body", spy)
+    @staticmethod
+    def check(lines, size):
+        """``size`` lines written as the loop writer writes them."""
         lines = repeat_to(lines, size)
         assert linelist_csv(lines) == loop_linelist_csv(lines)
-        assert calls == ([size] if size >= spectrum._MATRIX_LINES else [])
 
     @pytest.mark.parametrize("size", SIZES)
-    def test_non_ascii_band_names(self, size, monkeypatch):
-        self.check(self.lines(["ν3", "bé", "\U0001f600", "\udcff"]), size, monkeypatch)
+    def test_non_ascii_band_names(self, size):
+        self.check(self.lines(["ν3", "bé", "\U0001f600", "\udcff"]), size)
 
     @pytest.mark.parametrize("size", SIZES)
-    def test_band_name_with_nul_falls_back(self, size, monkeypatch):
-        lines = repeat_to(self.lines(["nu2", "nu\x003"]), size)
-        self.check(lines, size, monkeypatch)
-        assert _csv_matrix.csv_body(lines) is None
+    def test_band_name_with_nul_rejected(self, size):
+        # NUL is the matrix's padding byte: the band rule keeps it out of
+        # specs, configs and hand-built lines alike
+        name = "nu\x003"
+        message = re.escape(f"band {name!r}:")
+        with pytest.raises(ValueError, match=message):
+            Band(name, 1.0, BandType.PARALLEL)
+        with pytest.raises(ValueError, match=message):
+            loads_molecule(dump_molecule(SO3).replace("name: nu2", 'name: "nu\\03"'))
+        lines = repeat_to(self.lines([name, "nu2"]), size)
+        for writer in (linelist_csv, linelist_json):
+            with pytest.raises(ValueError, match=message):
+                writer(lines)
 
     @pytest.mark.parametrize("size", SIZES)
-    def test_several_bands_in_runs_and_interleaved(self, size, monkeypatch):
+    def test_several_bands_in_runs_and_interleaved(self, size):
         runs = [line._replace(band="nu4") for line in self.lines(["nu2"])[:30]]
-        self.check(runs + self.lines(["nu2", "nu3", "nu2"]), size, monkeypatch)
+        self.check(runs + self.lines(["nu2", "nu3", "nu2"]), size)
 
     @pytest.mark.parametrize("size", SIZES)
-    def test_numpy_scalar_and_int_fields(self, size, monkeypatch):
+    def test_numpy_scalar_and_int_fields(self, size):
         def fields(n):
             freq = (np.float64(1e3 + n), np.float32(0.1 * n + 1), 7 + n, np.int64(n + 1))
             intensity = (np.float32(1.0 / (n + 1)), 3, np.float64(2.5e-7 * n), True)
@@ -768,7 +768,7 @@ class TestMatrixCsvWriter:
 
         lines = self.lines(["nu2"], fields)
         numpy_state = RotationalState(np.int64(7), np.int32(-5), A)
-        self.check(lines + [lines[0]._replace(upper=numpy_state)], size, monkeypatch)
+        self.check(lines + [lines[0]._replace(upper=numpy_state)], size)
 
     @pytest.mark.parametrize("size", SIZES)
     def test_generator_argument(self, size):
@@ -780,14 +780,15 @@ class TestMatrixCsvWriter:
 
     @settings(deadline=None, derandomize=True, max_examples=100)
     @given(band=st.one_of(st.text(max_size=6), st.text(",\"\r\n\0ab", max_size=4),
-                          st.integers(), st.none()),
-           size=st.sampled_from(THRESHOLD_SIDES))
-    @example(band="a,b", size=THRESHOLD_SIDES[0])
-    @example(band="x\ny", size=THRESHOLD_SIDES[1])
-    @example(band=5, size=THRESHOLD_SIDES[1])
+                          st.integers(), st.none(), st.lists(st.text(), max_size=2)),
+           size=st.sampled_from([15, 1_100]))
+    @example(band="a,b", size=15)
+    @example(band="x\ny", size=1_100)
+    @example(band=5, size=1_100)
+    @example(band=["nu2"], size=15)
     def test_band_names_follow_the_band_rule(self, band, size):
         # once written as they came: a row of 12 fields, a split row, a
-        # JSON band of 5
+        # JSON band of 5; a list band was a bare TypeError from a band set
         lines = repeat_to(self.lines(["nu2", band]), size)
         try:
             Band(band, 1.0, BandType.PARALLEL)
@@ -817,14 +818,12 @@ class TestMatrixCsvWriter:
     @settings(deadline=None, derandomize=True, max_examples=200)
     @given(st.lists(hand_built_lines(), min_size=1, max_size=6))
     def test_hand_built_lines_through_the_matrix(self, lines):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(spectrum, "_MATRIX_LINES", 1)
-            assert linelist_csv(lines) == loop_linelist_csv(lines)
+        assert linelist_csv(lines) == loop_linelist_csv(lines)
 
     def test_engine_list_above_the_threshold(self):
         ens, violation = ThermalEnsemble(jmax=45), ViolationModel(0.3)
         lines = line_list(NH3, "nu3", ens, violation, "none")
-        assert len(lines) >= spectrum._MATRIX_LINES
+        assert len(lines) >= 10_000
         oracle = loop_line_list(NH3, "nu3", ens, violation, "none")
         assert linelist_csv(lines) == loop_linelist_csv(oracle)
 
