@@ -1,6 +1,6 @@
 """Permutation symmetry of three identical nuclei and synthetic line lists.
 
-Subpackages:
+Modules:
 
 - ``group_algebra``: exact S3 regular representation, projectors and the
   invariant-subspace decomposition of the 6-dimensional ordering space.
@@ -10,6 +10,12 @@ Subpackages:
 - ``spectrum``: rigid-rotor energies, thermal populations and line lists
   with a tunable symmetry-violation fraction beta.
 - ``cli``: the ``trisym`` command-line front end.
+
+``import trisym`` loads no numpy.  The seven ``spectrum`` names exported
+here (``SpectralLine``, ``ThermalEnsemble``, ``ViolationModel``,
+``line_list``, ``partition_function``, ``rot_energy`` and
+``state_population``) are resolved on first access, which imports
+``spectrum`` and numpy with it.
 """
 
 from .classify import (
@@ -22,15 +28,26 @@ from .classify import (
 )
 from .group_algebra import Permutation, SubspaceLabel
 from .molecules import Band, BandType, MoleculeSpec, PointGroup, get_molecule
-from .spectrum import (
-    SpectralLine,
-    ThermalEnsemble,
-    ViolationModel,
-    line_list,
-    partition_function,
-    rot_energy,
-    state_population,
+
+_SPECTRUM = (
+    "SpectralLine",
+    "ThermalEnsemble",
+    "ViolationModel",
+    "line_list",
+    "partition_function",
+    "rot_energy",
+    "state_population",
 )
+
+
+def __getattr__(name: str):
+    """A ``spectrum`` name on its first access (PEP 562), then kept here."""
+    if name not in _SPECTRUM:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import spectrum
+
+    return globals().setdefault(name, getattr(spectrum, name))
+
 
 __version__ = "0.1.0"
 

@@ -29,8 +29,6 @@ from fractions import Fraction
 from functools import cached_property
 from numbers import Integral, Real
 
-import numpy as np
-
 from .group_algebra import (
     CHARACTER_TABLE,
     CLASS_SIZES,
@@ -183,7 +181,9 @@ def _check_jk(J: int, K: int):
 
 
 def _check_spin(nuclear_spin):
-    if isinstance(nuclear_spin, (bool, np.bool_)) or nuclear_spin not in (0, SPIN_HALF):
+    np = sys.modules.get("numpy")  # no numpy bool exists before numpy loads
+    bools = (bool, np.bool_) if np else bool
+    if isinstance(nuclear_spin, bools) or nuclear_spin not in (0, SPIN_HALF):
         raise ValueError(f"nuclear_spin must be 0 or 1/2, got {nuclear_spin}")
 
 
@@ -192,8 +192,10 @@ def _check_number(value, field: str, *, zero=False, high=sys.float_info.max):
     ``zero``.  A bool is not a number here (True would read as 1).  An int or
     a Fraction is compared, never converted: float() of a huge one
     overflows.  A numpy float is widened to a Python float first, exactly,
-    since comparing a float32 with ``high`` casts ``high`` to inf."""
-    x = float(value) if isinstance(value, np.floating) else value
+    since comparing a float32 with ``high`` casts ``high`` to inf.  numpy is
+    looked up, not imported: no numpy float exists before numpy loads."""
+    np = sys.modules.get("numpy")
+    x = float(value) if np and isinstance(value, np.floating) else value
     if not (
         isinstance(x, Real) and not isinstance(x, bool)
         and (0 <= x if zero else 0 < x) and x <= high
@@ -322,13 +324,14 @@ def _level_class(J, K, a_species):
 
     0: K = 0 with even effective parity, 1: K = 0 with odd effective
     parity, 2: K = 3q != 0, 3: K not a multiple of 3.  ``a_species`` says
-    whether the level is the inversion-antisymmetric (a) species.  Works
-    elementwise on integer and boolean arrays.
+    whether the level is the inversion-antisymmetric (a) species.  Integer
+    arithmetic on the comparisons, so the same expression works on Python
+    ints and elementwise on integer and boolean arrays.
     """
     # The a-species picks up an extra sign under the exchange-equivalent
     # rotation+inversion, which acts like a J-parity flip.
     odd = (J % 2 == 1) != a_species
-    return np.where(K == 0, odd, np.where(K % 3 == 0, 2, 3))
+    return (K == 0) * odd + (K != 0) * (2 + (K % 3 != 0))
 
 
 #: One (J, K) level of each class, in class order, for species NONE.

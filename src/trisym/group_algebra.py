@@ -11,6 +11,11 @@ with H+/H- one-dimensional (totally symmetric / antisymmetric) and H'1, H'2
 two-dimensional mixed-symmetry blocks.  Everything here is built from exact
 closed forms; a numerical eigensolver is used only in the test suite as an
 independent cross-check.
+
+The permutations, classes and characters are plain Python.  numpy is
+imported by the functions that build matrices, and the six named vectors
+(``S_VEC``, ``A_VEC``, ``V1``-``V4``) are built on their first access, so a
+caller that needs no matrix never loads it.
 """
 
 from __future__ import annotations
@@ -19,8 +24,10 @@ import enum
 import math
 from dataclasses import dataclass
 from itertools import permutations as _itertools_permutations
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ClassLabel",
@@ -165,6 +172,8 @@ CLASS_SIZES: dict[ClassLabel, int] = {
 
 def regular_rep(p: Permutation) -> np.ndarray:
     """6x6 regular-representation matrix of ``p`` on the ordering basis."""
+    import numpy as np
+
     mat = np.zeros((6, 6), dtype=np.complex128)
     for col, ordering in enumerate(ORDERINGS):
         row = ORDERINGS.index(p.apply(ordering))
@@ -186,31 +195,42 @@ def multiplication_table() -> list[list[Permutation]]:
 # ---------------------------------------------------------------------------
 
 _SQRT6 = math.sqrt(6.0)
+_VECTORS = ("S_VEC", "A_VEC", "V1", "V2", "V3", "V4")
 
-#: Totally symmetric unit vector: equal amplitude on every ordering.
-S_VEC: np.ndarray = np.full(6, 1.0 / _SQRT6, dtype=np.complex128)
 
-#: Totally antisymmetric unit vector.  The stored sign convention is
-#: -sign(ordering)/sqrt(6); it differs from the sign-sum convention by a
-#: global phase only.
-A_VEC: np.ndarray = (
-    np.array([-1, 1, 1, -1, -1, 1], dtype=np.complex128) / _SQRT6
-)
+def _vectors() -> list[np.ndarray]:
+    """S_VEC, A_VEC and V1-V4, built on the first call and kept as module
+    globals from then on; if two threads build them, the first stored wins."""
+    if "V4" not in globals():
+        import numpy as np
 
-#: Eigenvectors of regular_rep(P123); V1, V2 carry eigenvalue LAMBDA_MINUS,
-#: V3, V4 carry LAMBDA_PLUS.  {V1, V4} span H'1 and {V2, V3} span H'2.
-V1: np.ndarray = np.array(
-    [0.0, LAMBDA_MINUS, LAMBDA_PLUS, 0.0, 0.0, 1.0], dtype=np.complex128
-)
-V2: np.ndarray = np.array(
-    [LAMBDA_PLUS, 0.0, 0.0, LAMBDA_MINUS, 1.0, 0.0], dtype=np.complex128
-)
-V3: np.ndarray = np.array(
-    [0.0, LAMBDA_PLUS, LAMBDA_MINUS, 0.0, 0.0, 1.0], dtype=np.complex128
-)
-V4: np.ndarray = np.array(
-    [LAMBDA_MINUS, 0.0, 0.0, LAMBDA_PLUS, 1.0, 0.0], dtype=np.complex128
-)
+        lp, lm = LAMBDA_PLUS, LAMBDA_MINUS
+        built = (
+            # Totally symmetric unit vector: equal amplitude on every ordering.
+            np.full(6, 1.0 / _SQRT6, dtype=np.complex128),
+            # Totally antisymmetric unit vector.  The stored sign convention
+            # is -sign(ordering)/sqrt(6); it differs from the sign-sum
+            # convention by a global phase only.
+            np.array([-1, 1, 1, -1, -1, 1], dtype=np.complex128) / _SQRT6,
+            # Eigenvectors of regular_rep(P123); V1, V2 carry eigenvalue
+            # LAMBDA_MINUS, V3, V4 carry LAMBDA_PLUS.  {V1, V4} span H'1 and
+            # {V2, V3} span H'2.
+            np.array([0.0, lm, lp, 0.0, 0.0, 1.0], dtype=np.complex128),
+            np.array([lp, 0.0, 0.0, lm, 1.0, 0.0], dtype=np.complex128),
+            np.array([0.0, lp, lm, 0.0, 0.0, 1.0], dtype=np.complex128),
+            np.array([lm, 0.0, 0.0, lp, 1.0, 0.0], dtype=np.complex128),
+        )
+        for name, vec in zip(_VECTORS, built):
+            globals().setdefault(name, vec)
+    return [globals()[name] for name in _VECTORS]
+
+
+def __getattr__(name: str):
+    """The named vectors on their first access (PEP 562); later reads find
+    the module globals that ``_vectors`` stored."""
+    if name in _VECTORS:
+        return _vectors()[_VECTORS.index(name)]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def symmetrizer() -> np.ndarray:
@@ -231,17 +251,20 @@ def cycle_eigenbasis() -> list[tuple[np.ndarray, complex]]:
     LAMBDA_PLUS.  regular_rep(P321) has the same eigenvectors with the
     LAMBDA eigenvalues exchanged.
     """
+    s, a, v1, v2, v3, v4 = _vectors()
     return [
-        (S_VEC.copy(), 1.0 + 0.0j),
-        (A_VEC.copy(), 1.0 + 0.0j),
-        (V1.copy(), LAMBDA_MINUS),
-        (V2.copy(), LAMBDA_MINUS),
-        (V3.copy(), LAMBDA_PLUS),
-        (V4.copy(), LAMBDA_PLUS),
+        (s.copy(), 1.0 + 0.0j),
+        (a.copy(), 1.0 + 0.0j),
+        (v1.copy(), LAMBDA_MINUS),
+        (v2.copy(), LAMBDA_MINUS),
+        (v3.copy(), LAMBDA_PLUS),
+        (v4.copy(), LAMBDA_PLUS),
     ]
 
 
 def _span_projector(*vectors: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     proj = np.zeros((6, 6), dtype=np.complex128)
     for v in vectors:
         proj += np.outer(v, v.conj()) / np.vdot(v, v).real
@@ -254,11 +277,14 @@ def invariant_projectors() -> tuple[np.ndarray, np.ndarray]:
     Together with the (anti)symmetrizer they resolve the identity:
     S + A + P1 + P2 = 1, and each commutes with all six group matrices.
     """
-    return _span_projector(V1, V4), _span_projector(V2, V3)
+    _, _, v1, v2, v3, v4 = _vectors()
+    return _span_projector(v1, v4), _span_projector(v2, v3)
 
 
 def apply_perm(p: Permutation, v: np.ndarray) -> np.ndarray:
     """Apply the regular representation of ``p`` to a 6-component vector."""
+    import numpy as np
+
     return regular_rep(p) @ np.asarray(v, dtype=np.complex128)
 
 
@@ -267,6 +293,8 @@ def decompose(v: np.ndarray) -> dict[SubspaceLabel, np.ndarray]:
 
     The components sum back to ``v`` up to rounding (< 1e-12 for unit input).
     """
+    import numpy as np
+
     p1, p2 = invariant_projectors()
     v = np.asarray(v, dtype=np.complex128)
     return {

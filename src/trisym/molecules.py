@@ -32,7 +32,7 @@ from pathlib import Path
 
 import yaml
 
-from .classify import _check_number, _check_spin, _check_type
+from .classify import InversionSpecies, _check_number, _check_spin, _check_type
 
 __all__ = [
     "PointGroup",
@@ -142,6 +142,17 @@ def _check_band_name(name) -> None:
         raise ValueError(
             f"band {name!r}: name must be a string without commas, "
             f"double quotes, line breaks or NULs"
+        )
+
+
+def _check_species(molecule: MoleculeSpec, species, field: str = "species"):
+    """Reject a species that no level of the molecule carries."""
+    _check_type(species, InversionSpecies, field)
+    if (molecule.point_group is PointGroup.C3V) == (species is InversionSpecies.NONE):
+        raise ValueError(
+            f"{field} must be s or a for a C3v molecule and none for a D3h one; "
+            f"{molecule.name!r} is {molecule.point_group._value_}, "
+            f"got {species._value_!r}"
         )
 
 

@@ -85,7 +85,14 @@ from .classify import (
     classify_state,
     sector_weights,
 )
-from .molecules import Band, BandType, MoleculeSpec, PointGroup, _check_band_name
+from .molecules import (
+    Band,
+    BandType,
+    MoleculeSpec,
+    PointGroup,
+    _check_band_name,
+    _check_species,
+)
 
 __all__ = [
     "KB_CM1",
@@ -250,17 +257,6 @@ def _boltzmann(energy, temperature: float):
 #: partner of a level (s <-> a, none <-> none).
 _SPECIES = (InversionSpecies.A, InversionSpecies.NONE, InversionSpecies.S)
 _A, _NONE, _S = range(3)
-
-
-def _check_species(molecule: MoleculeSpec, species, field: str = "species"):
-    """Reject a species that no level of the molecule carries."""
-    _check_type(species, InversionSpecies, field)
-    if (molecule.point_group is PointGroup.C3V) == (species is InversionSpecies.NONE):
-        raise ValueError(
-            f"{field} must be s or a for a C3v molecule and none for a D3h one; "
-            f"{molecule.name!r} is {molecule.point_group._value_}, "
-            f"got {species._value_!r}"
-        )
 
 
 def _level_table(molecule: MoleculeSpec, jmax: int):

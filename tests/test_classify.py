@@ -312,6 +312,7 @@ class TestRuleOracle:
         from trisym.classify import _ROT_CHARS, _level_class
         from trisym.group_algebra import IDENTITY, P23, P123
 
+        grid = []
         for J in range(13):
             for K in range(J + 1):
                 for sp in InversionSpecies:
@@ -320,7 +321,12 @@ class TestRuleOracle:
                         round(np.trace(rep[g]).real) for g in (IDENTITY, P23, P123)
                     )
                     is_a = sp is InversionSpecies.A
-                    assert _ROT_CHARS[_level_class(J, K, is_a)] == traces, (J, K, sp)
+                    cls = _level_class(J, K, is_a)
+                    assert _ROT_CHARS[cls] == traces, (J, K, sp)
+                    grid.append((J, K, is_a, cls))
+        # the same expression over arrays, as the line-list engine calls it
+        J, K, is_a, scalar = map(np.array, zip(*grid))
+        assert _level_class(J, K, is_a).tolist() == scalar.tolist()
 
 
 class TestSpinAndProducts:

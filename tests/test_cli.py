@@ -3,7 +3,10 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -16,6 +19,8 @@ from hypothesis import strategies as st
 from trisym.cli import build_parser, run
 from trisym.molecules import get_molecule, loads_molecule
 from trisym.spectrum import rot_energy
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def invoke(capsys, *argv):
@@ -271,6 +276,71 @@ class TestUsageErrors:
 
     def test_parser_prog_name(self):
         assert build_parser().prog == "trisym"
+
+
+def loads_numpy(steps):
+    """Whether a fresh process that runs ``steps`` has loaded numpy."""
+    code = f"import contextlib, io, sys\n{steps}\nprint('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    return out.stdout.split()[-1] == "True"
+
+
+def cli_steps(command, code):
+    """Run ``trisym command`` through ``cli.run`` and require its exit code."""
+    return (
+        "from trisym import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out, "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        f"        code = cli.run({command.split()!r})\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        f"assert code == {code}, code\n"
+        "assert out.getvalue() or code"
+    )
+
+
+class TestNumpyLoading:
+    """numpy loads only for array work: the symmetry table, the configs, the
+    group table and a usage error run without it."""
+
+    @pytest.mark.parametrize("command", [
+        "classify --molecule nh3 --J 3 --K 1 --species s",
+        "classify --molecule so3 --J 3 --K 3",
+        "classify --molecule bh3 --J 2 --K 1 --I 3/2",
+        "classify --molecule nh3 --J 1 --K 0 --species a --format json",
+        "molecules",
+        "molecules --dump so3",
+        "group --show table",
+    ])
+    def test_not_loaded(self, command):
+        assert not loads_numpy(cli_steps(command, 0))
+
+    def test_not_loaded_by_a_usage_error(self):
+        assert not loads_numpy(cli_steps("group --show nonsense", 2))
+
+    def test_not_loaded_by_the_package(self):
+        steps = (
+            "import trisym\n"
+            "assert trisym.classify_state(3, 1, trisym.get_molecule('nh3')"
+            ".nuclear_spin, trisym.InversionSpecies.S).forbidden_by.value"
+        )
+        assert not loads_numpy(steps)
+
+    @pytest.mark.parametrize("command,code", [
+        ("linelist --molecule so3 --band nu2 --jmax 3", 0),
+        ("linelist --molecule so3 --band nu9 --jmax 3", 1),
+        ("energies --molecule so3 --jmax 3", 0),
+        ("group --show projectors", 0),
+    ])
+    def test_loaded_for_arrays(self, command, code):
+        assert loads_numpy(cli_steps(command, code))
+
+    def test_loaded_by_a_spectrum_name(self):
+        assert loads_numpy("import trisym\ntrisym.line_list")
 
 
 SO3_YAML = """\

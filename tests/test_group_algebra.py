@@ -219,8 +219,25 @@ class TestProjectors:
 class TestEigenbasis:
     def test_eigen_relations_p123(self):
         mat = regular_rep(P123)
-        for vec, lam in cycle_eigenbasis():
+        basis = cycle_eigenbasis()
+        for vec, lam in basis:
             assert np.abs(mat @ vec - lam * vec).max() < TOL
+        # the named vectors, built on first access, are the basis: the same
+        # object on every read and equal to their closed forms
+        lp, lm = LAMBDA_PLUS, LAMBDA_MINUS
+        closed = {
+            "S_VEC": np.full(6, 1 / np.sqrt(6)),
+            "A_VEC": np.array([-1, 1, 1, -1, -1, 1]) / np.sqrt(6),
+            "V1": [0, lm, lp, 0, 0, 1],
+            "V2": [lp, 0, 0, lm, 1, 0],
+            "V3": [0, lp, lm, 0, 0, 1],
+            "V4": [lm, 0, 0, lp, 1, 0],
+        }
+        for (name, form), (vec, _) in zip(closed.items(), basis):
+            assert getattr(ga, name) is getattr(ga, name)
+            assert getattr(ga, name).dtype == np.complex128
+            assert np.array_equal(getattr(ga, name), form), name
+            assert np.array_equal(vec, form), name
 
     def test_eigenvalues_exchanged_for_p321(self):
         mat = regular_rep(P321)
