@@ -22,12 +22,14 @@ level table to jmax + 1 that holds both ends of every transition; its lower
 levels (J <= jmax) give the partition function.
 
 States are shared per process: one table per point group, in level-table
-order, holds the state of every level a kept line has reached, built once
-when a line first reaches it and shared by every line of every later call.
-The table is a numpy object array, so a call gathers its lines' states by
-row in C.  It keeps memory in proportion to the largest jmax seen, about
-1.7 MB (110 B per level) for nh3 at jmax 120, and 3.5 MB (230 B per level)
-once CSV has been written from every state, which keeps its CSV label.
+order, holds the state of every level of the largest level table built so
+far, each built once, when the table grows to reach it, and shared by every
+line of every later call.  The table is a numpy object array, so a call
+gathers its lines' states by row in C.  It keeps memory in proportion to
+the largest jmax seen, about 1.6 MB (105 B per level) for nh3 at jmax 120,
+and 3.4 MB (225 B per level) once CSV has been written from every state,
+which keeps its CSV label.  A spin-0 D3h list that reaches few levels
+(so3 nu3 at beta 0 reaches none) still holds the whole table.
 ``jmax`` is bounded so that a band's level table stays within a 2 GiB
 budget at a stated 8 KiB per level, which also bounds the shared tables.
 Arguments of the wrong type, levels outside the molecule's ensemble,
@@ -64,7 +66,7 @@ import json
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import repeat
 from numbers import Integral
 from typing import Iterable, NamedTuple
@@ -271,8 +273,8 @@ def _level_table(molecule: MoleculeSpec, jmax: int):
 
 #: One state table per point group, in ``_level_table`` order, so that every
 #: table is a prefix of the next larger one.  A table is a numpy object array,
-#: so that a line list gathers its states by index in C.  A row holds its
-#: level's state once a kept line has reached it, else None.  A table grows by
+#: so that a line list gathers its states by index in C.  It holds the state
+#: of every level of the largest level table built so far.  A table grows by
 #: rebinding a longer copy, never in place, so an array a caller holds never
 #: changes length.
 _state_tables: dict[PointGroup, np.ndarray] = {}
@@ -280,26 +282,22 @@ _state_tables_lock = threading.Lock()
 _NO_STATES = np.empty(0, dtype=object)
 
 
-def _shared_states(molecule: MoleculeSpec, table, lo, up) -> np.ndarray:
-    """The state table of the molecule's point group, covering ``table``,
-    with a state at each row in ``lo`` and ``up``: built once per process,
-    through the ``RotationalState`` constructor, when a kept line first
-    reaches it."""
+def _shared_states(molecule: MoleculeSpec, table) -> np.ndarray:
+    """The state table of the molecule's point group, covering ``table``:
+    the state of every level of the largest table built so far, each built
+    once per process, through the ``RotationalState`` constructor, when the
+    table grows to reach it."""
     J, K, code = table
-    reached = np.zeros(len(J), dtype=bool)
-    reached[lo] = reached[up] = True
-    rows = np.flatnonzero(reached)
     with _state_tables_lock:
         states = _state_tables.get(molecule.point_group, _NO_STATES)
         if len(states) < len(J):
-            grown = np.full(len(J), None, dtype=object)
+            grown = np.empty(len(J), dtype=object)
             grown[:len(states)] = states
+            new = slice(len(states), len(J))
+            labels = zip(J[new].tolist(), K[new].tolist(), code[new].tolist())
+            for row, (j, k, c) in enumerate(labels, len(states)):
+                grown[row] = RotationalState(j, k, _SPECIES[c])
             states = _state_tables[molecule.point_group] = grown
-        found = zip(rows.tolist(), states[rows].tolist())
-        new = [row for row, state in found if state is None]
-        labels = zip(new, J[new].tolist(), K[new].tolist(), code[new].tolist())
-        for row, j, k, c in labels:
-            states[row] = RotationalState(j, k, _SPECIES[c])
     return states
 
 
@@ -336,15 +334,14 @@ def _check_populated(z: float, ensemble: ThermalEnsemble):
         )
 
 
-@lru_cache(maxsize=128)
-def _partition_function_cached(
-    molecule: MoleculeSpec, temperature: float, jmax: int, beta: float
+def _class_weights_and_z(
+    molecule: MoleculeSpec, ensemble: ThermalEnsemble, violation: ViolationModel
 ) -> tuple[np.ndarray, float]:
     """Statistical weight of each level class, and the partition function."""
-    g_class = np.diagonal(_pair_populations(molecule, beta))
-    cls, energy, deg = _levels(molecule, *_level_table(molecule, jmax))
-    boltz = _boltzmann(energy, temperature)
-    return g_class, _partition_sum(g_class, cls, deg, boltz, temperature)
+    T = ensemble.temperature
+    g_class = np.diagonal(_pair_populations(molecule, violation.beta))
+    cls, energy, deg = _levels(molecule, *_level_table(molecule, ensemble.jmax))
+    return g_class, _partition_sum(g_class, cls, deg, _boltzmann(energy, T), T)
 
 
 def _check_inputs(molecule, ensemble, violation):
@@ -360,9 +357,7 @@ def partition_function(
 ) -> float:
     """Sum of unnormalized level populations up to the ensemble's jmax."""
     _check_inputs(molecule, ensemble, violation)
-    return _partition_function_cached(
-        molecule, ensemble.temperature, ensemble.jmax, violation.beta
-    )[1]
+    return _class_weights_and_z(molecule, ensemble, violation)[1]
 
 
 def state_population(
@@ -378,12 +373,11 @@ def state_population(
     _check_species(molecule, state.species)
     if state.J > ensemble.jmax:
         raise ValueError(f"J must be at most jmax {ensemble.jmax}, got {state.J}")
-    T = ensemble.temperature
-    g_class, z = _partition_function_cached(molecule, T, ensemble.jmax, violation.beta)
+    g_class, z = _class_weights_and_z(molecule, ensemble, violation)
     _check_populated(z, ensemble)
     code = _SPECIES.index(state.species)
     cls, energy, deg = _levels(molecule, state.J, abs(state.K), code)
-    return float(g_class[cls] * deg * _boltzmann(energy, T)) / z
+    return float(g_class[cls] * deg * _boltzmann(energy, ensemble.temperature)) / z
 
 
 @np.errstate(over="ignore", invalid="ignore")  # caught by the check on kept lines
@@ -490,7 +484,7 @@ def line_list(
     enabled = gc.isenabled()
     gc.disable()
     try:
-        states = _shared_states(molecule, table, lo, up)
+        states = _shared_states(molecule, table)
         # Sorting one column at a time keeps a single sorted copy alive; the
         # states of each line's rows are gathered from the table in C.
         freq, intensity, sp, ss = (
