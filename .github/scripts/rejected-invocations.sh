@@ -44,3 +44,11 @@ sed 's/{name: nu2,/{name: "nu\\0x",/' src/trisym/configs/so3.yaml > "$nul"
 grep -qF '"nu\0x"' "$nul"
 rejected linelist --molecule "$nul" --band nu2 --jmax 3
 rejected molecules --dump "$nul"
+
+# temperatures the thermal sums reject: every Boltzmann factor underflows to
+# a partition function of 0, or an s-species factor below the unsplit level
+# overflows
+rejected linelist --molecule bh3 --band nu3 --temp 1e-3
+grep -q "partition function is 0" "$dir/err"
+rejected linelist --molecule nh3 --band nu2 --jmax 5 --temp 1e-4
+grep -q "Boltzmann factors not finite" "$dir/err"

@@ -376,15 +376,13 @@ def sector_weights(
     """Dimension of each symmetry sector of the (rotation x spin) level.
 
     Keys "A1", "A2" count one-dimensional symmetric/antisymmetric states;
-    "E" is the total dimension hosted by the mixed-symmetry sector.  For
-    spin-0 nuclei the mixed sector is counted once per K-sign slot, so that
-    forbidden-to-allowed intensity ratios reduce to the bare violation
+    "E" comes from the E multiplicity e: the sector's dimension 2e for
+    spin-1/2 nuclei, and e for spin-0 nuclei, each E copy counted once so
+    that forbidden-to-allowed intensity ratios reduce to the bare violation
     fraction.
     """
     a1, a2, e = _multiplicities(J, K, nuclear_spin, species, None)
-    if nuclear_spin == 0 and K % 3 != 0:
-        return {"A1": a1, "A2": a2, "E": 1}
-    return {"A1": a1, "A2": a2, "E": 2 * e}
+    return {"A1": a1, "A2": a2, "E": e if nuclear_spin == 0 else 2 * e}
 
 
 def spin_statistical_weight(

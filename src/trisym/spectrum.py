@@ -16,10 +16,11 @@ ordinary, population anywhere else carries a factor beta.
 
 A level's weight depends only on its class (see ``classify._level_class``),
 so one 4 x 4 table over (lower, upper) class pairs feeds line intensities,
-the partition function and level populations.  One elementwise function
-gives each level's class, energy and degeneracy.  A band is one pass over a
-level table to jmax + 1 that holds both ends of every transition; its lower
-levels (J <= jmax) give the partition function.
+the partition function and level populations.  One level pass gives each
+level's class, energy and degeneracy and sums Z over the levels up to jmax,
+for all three callers: ``partition_function`` and ``state_population`` pass
+it a level table to jmax, a band one to jmax + 1 that holds both ends of
+every transition.
 
 States are shared per process: one table per point group, in level-table
 order, holds the state of every level of the largest level table built so
@@ -318,14 +319,6 @@ def _levels(molecule: MoleculeSpec, J, K, code):
     return _level_class(J, K, code == _A), energy, (2 * J + 1) << (K != 0)
 
 
-def _partition_sum(g_class, cls, deg, boltz, temperature: float) -> float:
-    """Partition function, summed over the levels in their order."""
-    with np.errstate(over="ignore"):
-        z = float(np.dot(g_class[cls] * deg, boltz))
-    _check_finite(z, temperature, "the partition function")
-    return z
-
-
 def _check_populated(z: float, ensemble: ThermalEnsemble):
     if z == 0:
         raise ValueError(
@@ -334,14 +327,19 @@ def _check_populated(z: float, ensemble: ThermalEnsemble):
         )
 
 
-def _class_weights_and_z(
-    molecule: MoleculeSpec, ensemble: ThermalEnsemble, violation: ViolationModel
-) -> tuple[np.ndarray, float]:
-    """Statistical weight of each level class, and the partition function."""
+def _thermal_levels(molecule, table, ensemble, violation):
+    """The class-pair population table, the class, energy and degeneracy of
+    each level of ``table``, and the Boltzmann factors and the partition
+    function of its levels up to jmax, summed in table order: Z's one sum."""
     T = ensemble.temperature
-    g_class = np.diagonal(_pair_populations(molecule, violation.beta))
-    cls, energy, deg = _levels(molecule, *_level_table(molecule, ensemble.jmax))
-    return g_class, _partition_sum(g_class, cls, deg, _boltzmann(energy, T), T)
+    pair_pop = _pair_populations(molecule, violation.beta)
+    cls, energy, deg = levels = _levels(molecule, *table)
+    lower = slice(np.searchsorted(table[0], ensemble.jmax, side="right"))
+    boltz = _boltzmann(energy[lower], T)
+    with np.errstate(over="ignore"):
+        z = float(np.dot(np.diagonal(pair_pop)[cls[lower]] * deg[lower], boltz))
+    _check_finite(z, T, "the partition function")
+    return pair_pop, levels, boltz, z
 
 
 def _check_inputs(molecule, ensemble, violation):
@@ -357,7 +355,8 @@ def partition_function(
 ) -> float:
     """Sum of unnormalized level populations up to the ensemble's jmax."""
     _check_inputs(molecule, ensemble, violation)
-    return _class_weights_and_z(molecule, ensemble, violation)[1]
+    table = _level_table(molecule, ensemble.jmax)
+    return _thermal_levels(molecule, table, ensemble, violation)[3]
 
 
 def state_population(
@@ -373,11 +372,13 @@ def state_population(
     _check_species(molecule, state.species)
     if state.J > ensemble.jmax:
         raise ValueError(f"J must be at most jmax {ensemble.jmax}, got {state.J}")
-    g_class, z = _class_weights_and_z(molecule, ensemble, violation)
+    table = _level_table(molecule, ensemble.jmax)
+    pair_pop, _, _, z = _thermal_levels(molecule, table, ensemble, violation)
     _check_populated(z, ensemble)
     code = _SPECIES.index(state.species)
     cls, energy, deg = _levels(molecule, state.J, abs(state.K), code)
-    return float(g_class[cls] * deg * _boltzmann(energy, ensemble.temperature)) / z
+    weight = np.diagonal(pair_pop)[cls] * deg
+    return float(weight * _boltzmann(energy, ensemble.temperature)) / z
 
 
 @np.errstate(over="ignore", invalid="ignore")  # caught by the check on kept lines
@@ -392,7 +393,6 @@ def _line_columns(
 
     # Symmetry enters only through the (lower, upper) level-class pair: the
     # population factor and the forbidden flags.
-    pair_pop = _pair_populations(molecule, violation.beta)
     flags = [classify_state(J, K, molecule.nuclear_spin) for J, K in _CLASS_LEVELS]
     class_sp = np.array([f.sp_forbidden for f in flags])
     class_ss = np.array([f.ss_forbidden for f in flags])
@@ -402,14 +402,13 @@ def _line_columns(
     # Both ends of every transition are rows of one level table to jmax + 1.
     T, jmax = ensemble.temperature, ensemble.jmax
     J, K, code = table = _level_table(molecule, jmax + 1)
-    cls, energy, deg = _levels(molecule, *table)
-    lower = slice(np.searchsorted(J, jmax, side="right"))
-    boltz = _boltzmann(energy[lower], T)
-    z = _partition_sum(np.diagonal(pair_pop), cls[lower], deg[lower], boltz, T)
+    pair_pop, (cls, energy, deg), boltz, z = _thermal_levels(
+        molecule, table, ensemble, violation
+    )
     _check_populated(z, ensemble)
     row = np.zeros((jmax + 2, jmax + 2, 3), dtype=np.intp)  # (J, K, code) -> row
     row[table] = np.arange(len(J))
-    j, k = J[lower], K[lower]
+    j, k = J[:len(boltz)], K[:len(boltz)]  # the lower levels, J <= jmax
     branches = [(dj, dk) for dj in (1, 0, -1) for dk in ((0,) if parallel else (1, -1))]
     picks = [  # 0 <= K_up <= J_up, and no 0 <- 0
         np.flatnonzero((k + dk >= 0) & (k + dk <= j + dj) & ((j > 0) | (dj > 0)))

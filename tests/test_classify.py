@@ -454,7 +454,8 @@ class TestStatisticalWeights:
         assert sector_weights(1, 1, SPIN_HALF) == {"A1": 2, "A2": 2, "E": 12}
 
     def test_sector_weights_match_brute_dimensions(self):
-        """A1/A2 slots equal the explicit-rep sector dimensions."""
+        """A1/A2 slots equal the explicit-rep sector dimensions; the E slot
+        is the dimension for spin 1/2 and half of it for spin 0."""
         for spin in (S0, SPIN_HALF):
             for J in range(6):
                 for K in range(J + 1):
@@ -463,6 +464,9 @@ class TestStatisticalWeights:
                         assert w[irrep] == brute_sector_dimension(
                             J, K, spin, irrep
                         ), (spin, J, K, irrep)
+                    assert w["E"] * (2 if spin == 0 else 1) == (
+                        brute_sector_dimension(J, K, spin, "E")
+                    ), (spin, J, K, "E")
 
     def test_sector_weights_total_dimension_spin_half(self):
         # E slot for spin-1/2 is a true dimension: sectors partition the level

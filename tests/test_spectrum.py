@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import inspect
 import io
+import itertools
 import json
 import math
 import pickle
@@ -330,17 +331,32 @@ class TestLineList:
         assert flagged > 0
 
     def test_normalization_modes(self):
-        beta = ViolationModel(1e-6)
-        raw = line_list(SO3, "nu2", self.ENS, beta, normalization="none")
-        by_max = line_list(SO3, "nu2", self.ENS, beta, normalization="max")
-        by_total = line_list(SO3, "nu2", self.ENS, beta, normalization="total")
-        allowed_max = max(
-            l.intensity for l in by_max if not (l.sp_forbidden or l.ss_forbidden)
-        )
-        assert allowed_max == 1.0
-        q = partition_function(SO3, self.ENS, beta)
-        for lr, lt in zip(raw, by_total):
-            assert lt.intensity == pytest.approx(lr.intensity / q, rel=1e-12)
+        # "total" divides by the very float partition_function returns: one Z
+        maxed = 0
+        for name in shipped_molecules():
+            mol = get_molecule(name)
+            for band, beta, jmax in itertools.product(
+                    mol.bands, (0.0, 1e-9, 0.3), (0, 3, 20)):
+                ens, violation = ThermalEnsemble(296.0, jmax), ViolationModel(beta)
+                q = partition_function(mol, ens, violation)
+                if q == 0:  # no populated level: the list is not defined
+                    with pytest.raises(ValueError, match="partition function is 0"):
+                        line_list(mol, band, ens, violation)
+                    continue
+                raw, by_max, by_total = (
+                    line_list(mol, band, ens, violation, normalization=mode)
+                    for mode in ("none", "max", "total")
+                )
+                allowed = [
+                    l.intensity for l in by_max
+                    if not (l.sp_forbidden or l.ss_forbidden)
+                ]
+                assert max(allowed, default=1.0) == 1.0
+                maxed += bool(allowed)
+                assert [l.intensity for l in by_total] == [
+                    l.intensity / q for l in raw
+                ], (name, band.name, beta, jmax)
+        assert maxed > 0
 
     def test_max_mode_without_allowed_lines_keeps_raw(self):
         # bh3 parallel band from K=0-only ensemble: the J=0 level is forbidden
@@ -1136,6 +1152,13 @@ class TestOverflowingInputs:
     def test_largest_constants_at_j0(self):
         molecule = dataclasses.replace(SO3, B_cm1=1.0e308)
         assert rot_energy(molecule, 0, 0) == 0.0
+        # Z sums the levels up to jmax only; a line list's table reaches
+        # J = 1, where E = 2B overflows
+        ens = ThermalEnsemble(jmax=0)
+        assert partition_function(molecule, ens) == 1.0
+        assert state_population(molecule, RotationalState(0, 0), ens) == 1.0
+        with pytest.raises(ValueError, match=r"B_cm1 .* up to J = 1 not finite"):
+            line_list(molecule, "nu2", ens)
 
     @pytest.mark.parametrize("band_type", list(BandType))
     def test_band_origin_whose_frequencies_overflow(self, band_type):
