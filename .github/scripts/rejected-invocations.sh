@@ -52,3 +52,16 @@ rejected linelist --molecule bh3 --band nu3 --temp 1e-3
 grep -q "partition function is 0" "$dir/err"
 rejected linelist --molecule nh3 --band nu2 --jmax 5 --temp 1e-4
 grep -q "Boltzmann factors not finite" "$dir/err"
+
+# configs the loader rejects by their shape: a document that is not a
+# mapping, and a band entry without its type
+list="$dir/list.yaml"
+printf -- '- so3\n- bh3\n' > "$list"
+rejected linelist --molecule "$list" --band nu2 --jmax 3
+grep -q "molecule config must be a mapping" "$dir/err"
+untyped="$dir/untyped.yaml"
+sed 's/{name: nu2, origin_cm1: 498.0, type: parallel}/{name: nu2, origin_cm1: 498.0}/' \
+  src/trisym/configs/so3.yaml > "$untyped"
+grep -qF '{name: nu2, origin_cm1: 498.0}' "$untyped"
+rejected linelist --molecule "$untyped" --band nu2 --jmax 3
+grep -qF "bands[1]: expected fields name, origin_cm1, type" "$dir/err"

@@ -25,9 +25,8 @@ from itertools import chain
 import numpy as np
 
 from .molecules import _check_band_name
+from .spectrum import _FLOAT  # the format g10_blocks reproduces and falls back to
 
-#: The format ``g10_blocks`` reproduces, and the one it falls back to.
-_G10 = "%.10g"
 #: Largest |decimal exponent| the kernel formats itself: 10**(9 - e) stays a
 #: normal double and its product with the value cannot overflow.
 _EXP_LIMIT = 290
@@ -125,7 +124,7 @@ def g10_blocks(x):
     e += 300
     shown = layout[e] + 9 - np.where(tail == 0, 5 + zeros[head], zeros[tail])
     bad = np.flatnonzero(~ok)
-    text = np.array([(_G10 % value).encode() for value in x[bad].tolist()], "S20")
+    text = np.array([(_FLOAT % value).encode() for value in x[bad].tolist()], "S20")
     # Only the columns some row uses: a narrower block is cheaper to join.
     used = np.bincount(shown, minlength=len(keep)) > 0
     cols = (keep[used] | point[used]).any(axis=0)

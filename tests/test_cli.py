@@ -407,6 +407,19 @@ class TestRejectedInput:
         text = SO3_YAML + "  - {name: nu2, origin_cm1: 600.0, type: parallel}\n"
         self.expect_error(capsys, self.config(tmp_path, text), "bands")
 
+    def test_config_not_a_mapping(self, capsys, tmp_path):
+        argv = self.config(tmp_path, "- so3\n- bh3\n")
+        self.expect_error(capsys, argv, "molecule config must be a mapping")
+
+    @pytest.mark.parametrize("band", [
+        "{name: nu2, origin_cm1: 498.0}",
+        "{name: nu2, origin_cm1: 498.0, type: parallel, zeta: 0.1}",
+    ], ids=["no-type", "extra-key"])
+    def test_band_entry_fields(self, capsys, tmp_path, band):
+        text = SO3_YAML.replace("{name: nu2, origin_cm1: 498.0, type: parallel}", band)
+        self.expect_error(capsys, self.config(tmp_path, text),
+                          "bands[0]: expected fields name, origin_cm1, type")
+
     def test_yaml_syntax_error(self, capsys, tmp_path):
         argv = self.config(tmp_path, SO3_YAML.replace("D3h", "[D3h"))
         self.expect_error(capsys, argv, "invalid YAML")

@@ -206,6 +206,12 @@ def test_unknown_band_name():
         (MINIMAL.replace("origin_cm1: 1000.0", "origin_cm1: -5"), "origin_cm1"),
         (MINIMAL.replace("parallel", "sideways"), "type"),
         (MINIMAL + "inversion_splitting_cm1: 0.8", "C3v"),
+        *[(text, "^molecule config must be a mapping$")
+          for text in ("7", "- name: toy\n- B_cm1: 1.0\n", "")],
+        *[(MINIMAL + f"  - {band}\n",
+           r"^bands\[1\]: expected fields name, origin_cm1, type$")
+          for band in ("{name: nu2, origin_cm1: 500.0}",
+                       "{name: nu2, origin_cm1: 500.0, type: parallel, zeta: 0.1}")],
     ],
 )
 def test_validation_errors_name_the_field(mutation, message):

@@ -429,6 +429,22 @@ class TestLineList:
         assert calls["states"] == table_rows
         assert len({id(s) for l in lines for s in (l.lower, l.upper)}) <= table_rows
 
+    @pytest.mark.parametrize("call", [
+        lambda ens, vio: partition_function(NH3, ens, vio),
+        lambda ens, vio: state_population(NH3, RotationalState(3, -2, A), ens, vio),
+    ], ids=["partition_function", "state_population"])
+    def test_thermal_sums_evaluate_levels_once(self, monkeypatch, call):
+        # state_population once evaluated its own level in a second pass
+        calls, levels = [], spectrum._levels
+
+        def counted_levels(*args):
+            calls.append(args)
+            return levels(*args)
+
+        monkeypatch.setattr(spectrum, "_levels", counted_levels)
+        call(ThermalEnsemble(jmax=12), ViolationModel(0.3))
+        assert len(calls) == 1
+
     def test_each_state_built_once_per_process(self, monkeypatch):
         # once only the levels a kept line reached, scanned on every call
         built, post_init = [], RotationalState.__post_init__
